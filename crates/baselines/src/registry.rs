@@ -120,9 +120,6 @@ pub struct BaselineHp {
     pub conv_kernel: usize,
     /// Seed.
     pub seed: u64,
-    /// Kernel backend to select before training. `None` keeps the
-    /// process-wide default (`CAME_BACKEND` env, else parallel).
-    pub backend: Option<came_tensor::BackendKind>,
 }
 
 impl Default for BaselineHp {
@@ -139,7 +136,6 @@ impl Default for BaselineHp {
             conv_filters: 16,
             conv_kernel: 3,
             seed: 0xBA5E,
-            backend: None,
         }
     }
 }
@@ -216,9 +212,6 @@ pub fn train_baseline(
     hp: &BaselineHp,
     mut hook: Option<&mut EpochHook<'_>>,
 ) -> TrainedBaseline {
-    if let Some(kind) = hp.backend {
-        came_tensor::set_backend(kind);
-    }
     let mut rng = Prng::new(hp.seed);
     let mut store = ParamStore::new();
     let feats = || features.unwrap_or_else(|| panic!("{} needs modal features", kind.label()));

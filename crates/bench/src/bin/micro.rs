@@ -4,7 +4,7 @@
 //! Replaces the old criterion bench (the registry is unreachable offline).
 //! Method: warmup, then median of N timed runs per (kernel, backend) cell —
 //! `std::time::Instant` only. Emits `BENCH_micro.json` with per-kernel ns/op
-//! and the parallel-over-scalar speedup so the perf trajectory across PRs is
+//! and the simd-over-scalar speedup so the perf trajectory across PRs is
 //! machine-readable.
 //!
 //! `CAME_QUICK` shrinks the matmul sizes and sample counts for CI smoke runs.
@@ -72,19 +72,10 @@ fn median_ns(warmup: usize, samples: usize, mut f: impl FnMut()) -> f64 {
 struct Row {
     name: String,
     scalar_ns: f64,
-    parallel_ns: f64,
     simd_ns: f64,
 }
 
 impl Row {
-    fn speedup(&self) -> f64 {
-        if self.parallel_ns > 0.0 {
-            self.scalar_ns / self.parallel_ns
-        } else {
-            0.0
-        }
-    }
-
     fn simd_speedup(&self) -> f64 {
         if self.simd_ns > 0.0 {
             self.scalar_ns / self.simd_ns
@@ -94,7 +85,7 @@ impl Row {
     }
 }
 
-/// Time `f(backend)` under all three backend implementations.
+/// Time `f(backend)` under both backend implementations.
 fn both(
     name: impl Into<String>,
     warmup: usize,
@@ -102,12 +93,10 @@ fn both(
     mut f: impl FnMut(&'static dyn Backend),
 ) -> Row {
     let scalar_ns = median_ns(warmup, samples, || f(backend::of(BackendKind::Scalar)));
-    let parallel_ns = median_ns(warmup, samples, || f(backend::of(BackendKind::Parallel)));
     let simd_ns = median_ns(warmup, samples, || f(backend::of(BackendKind::Simd)));
     Row {
         name: name.into(),
         scalar_ns,
-        parallel_ns,
         simd_ns,
     }
 }
@@ -201,15 +190,12 @@ fn both_global(name: impl Into<String>, warmup: usize, samples: usize, mut f: im
     let prev = backend::kind();
     came_tensor::set_backend(BackendKind::Scalar);
     let scalar_ns = median_ns(warmup, samples, &mut f);
-    came_tensor::set_backend(BackendKind::Parallel);
-    let parallel_ns = median_ns(warmup, samples, &mut f);
     came_tensor::set_backend(BackendKind::Simd);
     let simd_ns = median_ns(warmup, samples, &mut f);
     came_tensor::set_backend(prev);
     Row {
         name: name.into(),
         scalar_ns,
-        parallel_ns,
         simd_ns,
     }
 }
@@ -343,9 +329,9 @@ fn main() {
     // --- end-to-end: filtered-ranking evaluation ------------------------
     // Train once (fixed backend so both eval cells rank identical scores),
     // then time `evaluate` under each backend: batched 1-N forward + the
-    // parallel rank loop.
+    // threaded rank loop.
     {
-        came_tensor::set_backend(BackendKind::Parallel);
+        came_tensor::set_backend(kind);
         let bkg = presets::tiny(7);
         let hp = BaselineHp {
             d: 32,
@@ -365,10 +351,11 @@ fn main() {
     }
 
     // --- before/after: pooled + fused training steps ---------------------
-    // All A/B cells run under the Parallel backend (the default in every
-    // experiment binary); `ab` flips only the pool and fusion switches.
+    // All A/B cells run under the default backend (what every experiment
+    // binary selects at startup); `ab` flips only the pool and fusion
+    // switches.
     let mut ab_rows: Vec<AbRow> = Vec::new();
-    came_tensor::set_backend(BackendKind::Parallel);
+    came_tensor::set_backend(kind);
     {
         // Full CamE training step at batch 256: forward, BCE loss, backward,
         // Adam — the end-to-end number the zero-realloc work targets.
@@ -687,7 +674,7 @@ fn main() {
         finite: bool,
     }
     let modality_cells: Vec<ModalityCell> = {
-        came_tensor::set_backend(BackendKind::Parallel);
+        came_tensor::set_backend(kind);
         let bkg = presets::tiny(19);
         let fcfg = FeatureConfig {
             compgcn_epochs: 0,
@@ -1104,7 +1091,7 @@ fn main() {
             kge.score_into(&store, &queries, out);
         };
         let eval_cap = Some(if quick { 64 } else { 256 });
-        came_tensor::set_backend(BackendKind::Parallel);
+        came_tensor::set_backend(kind);
         let mut dense = Vec::new();
         score_all(&mut dense);
         let dense_metrics =
@@ -1112,23 +1099,20 @@ fn main() {
         model
             .freeze_entity_store(&store, StoreKind::Q8)
             .expect("freeze q8");
-        let cells: Vec<QuantParityCell> = [
-            ("scalar", BackendKind::Scalar),
-            ("parallel", BackendKind::Parallel),
-            ("simd", BackendKind::Simd),
-        ]
-        .into_iter()
-        .map(|(name, bk)| {
-            came_tensor::set_backend(bk);
-            let mut q8 = Vec::new();
-            score_all(&mut q8);
-            QuantParityCell {
-                backend: name,
-                spearman: came_kg::mean_spearman_topk(&dense, &q8, n_ent, 10),
-            }
-        })
-        .collect();
-        came_tensor::set_backend(BackendKind::Parallel);
+        let cells: Vec<QuantParityCell> =
+            [("scalar", BackendKind::Scalar), ("simd", BackendKind::Simd)]
+                .into_iter()
+                .map(|(name, bk)| {
+                    came_tensor::set_backend(bk);
+                    let mut q8 = Vec::new();
+                    score_all(&mut q8);
+                    QuantParityCell {
+                        backend: name,
+                        spearman: came_kg::mean_spearman_topk(&dense, &q8, n_ent, 10),
+                    }
+                })
+                .collect();
+        came_tensor::set_backend(kind);
         let q8_metrics = came_bench::eval_came(&model, &store, &bkg.dataset, Split::Test, eval_cap);
         let mrr_delta = (dense_metrics.mrr() - q8_metrics.mrr()).abs();
         // file-backed head with a starved cache: bitwise q8, streaming rows
@@ -1162,8 +1146,6 @@ fn main() {
             vec![
                 r.name.clone(),
                 format!("{:.0}", r.scalar_ns),
-                format!("{:.0}", r.parallel_ns),
-                format!("{:.2}x", r.speedup()),
                 format!("{:.0}", r.simd_ns),
                 format!("{:.2}x", r.simd_speedup()),
             ]
@@ -1172,14 +1154,7 @@ fn main() {
     println!(
         "{}",
         came_bench::markdown_table(
-            &[
-                "kernel",
-                "scalar ns/op",
-                "parallel ns/op",
-                "par x",
-                "simd ns/op",
-                "simd x"
-            ],
+            &["kernel", "scalar ns/op", "simd ns/op", "simd x"],
             &table_rows
         )
     );
@@ -1279,11 +1254,9 @@ fn main() {
     ));
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"scalar_ns_op\": {:.0}, \"parallel_ns_op\": {:.0}, \"speedup\": {:.3}, \"simd_ns_op\": {:.0}, \"simd_speedup\": {:.3}}}{}\n",
+            "    {{\"name\": \"{}\", \"scalar_ns_op\": {:.0}, \"simd_ns_op\": {:.0}, \"simd_speedup\": {:.3}}}{}\n",
             r.name,
             r.scalar_ns,
-            r.parallel_ns,
-            r.speedup(),
             r.simd_ns,
             r.simd_speedup(),
             if i + 1 < rows.len() { "," } else { "" }
@@ -1550,7 +1523,7 @@ fn main() {
     // 4-wide SSE2 — so 2x is unreachable there by any implementation and
     // the gate asks for 1.25x instead (measured ~1.5x; the cache-resident
     // adam_64k_hot row documents the ~2x compute-bound ratio). On hosts
-    // without SSE2/AVX2 the gate is skipped (SimdBackend delegates).
+    // without SSE2/AVX2 the gate is skipped (only portable kernels run).
     if std::env::var_os("CAME_CHECK_SIMD").is_some() {
         if !backend::simd::supported() {
             eprintln!("[micro] simd gate skipped: no vector ISA on this host");

@@ -83,9 +83,9 @@ pub fn drkg_bkg(seed: u64) -> MultimodalBkg {
     }
 }
 
-/// Select the kernel backend from `CAME_BACKEND` (`scalar` | `parallel` |
-/// `simd`, default simd where the host supports it) and return the chosen
-/// kind.
+/// Select the kernel backend from `CAME_BACKEND` (`scalar` | `simd`, default
+/// simd: vector kernels where the host has AVX2+FMA or SSE2, portable block
+/// kernels elsewhere) and return the chosen kind.
 pub fn init_backend() -> came_tensor::BackendKind {
     came_tensor::backend::init_from_env()
 }

@@ -49,9 +49,6 @@ pub struct CamEConfig {
     pub contrastive_w: f32,
     /// Parameter-initialisation seed.
     pub seed: u64,
-    /// Kernel backend to select before building/training the model. `None`
-    /// keeps the process-wide default (`CAME_BACKEND` env, else parallel).
-    pub backend: Option<came_tensor::BackendKind>,
 }
 
 impl Default for CamEConfig {
@@ -75,7 +72,6 @@ impl Default for CamEConfig {
             modality_dropout: (0.0, 0.0),
             contrastive_w: 0.0,
             seed: 0xCA4E,
-            backend: None,
         }
     }
 }

@@ -111,9 +111,6 @@ impl CamE {
         let n = dataset.num_entities();
         features.try_validate(n)?;
         let mut cfg = cfg;
-        if let Some(kind) = cfg.backend {
-            came_tensor::set_backend(kind);
-        }
         // a dataset without any molecule cannot use the molecular modality
         if !features.has_molecule.iter().any(|&m| m) {
             cfg.use_molecule = false;

@@ -296,7 +296,7 @@ impl<M: TripleModel> KgeModel for TripleKge<M> {
         hi: usize,
         out: &mut [f32],
     ) {
-        use came_tensor::backend::{self, BackendKind};
+        use came_tensor::backend;
         let n = self.num_entities;
         assert!(lo <= hi && hi <= n, "candidate range {lo}..{hi} out of {n}");
         let w = hi - lo;
@@ -309,13 +309,7 @@ impl<M: TripleModel> KgeModel for TripleKge<M> {
         // score is a row-local function of its (h, r, t) triple, so chunk
         // boundaries never change values and the slice is bit-identical to
         // the full-row path.
-        let shard = match backend::kind() {
-            BackendKind::Scalar => w,
-            BackendKind::Parallel | BackendKind::Simd => {
-                w.div_ceil(backend::num_threads()).max(512)
-            }
-        }
-        .max(1);
+        let shard = backend::shard_width(w);
         let mut tasks: Vec<(EntityId, RelationId, usize, &mut [f32])> = Vec::new();
         for (q, row) in queries.iter().zip(out.chunks_mut(w)) {
             for (si, chunk) in row.chunks_mut(shard).enumerate() {

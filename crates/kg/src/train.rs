@@ -795,19 +795,13 @@ impl<'a, M: TripleModel + ?Sized> TripleScorerAdapter<'a, M> {
 
 impl<M: TripleModel + ?Sized> TailScorer for TripleScorerAdapter<'_, M> {
     fn score_tails(&self, queries: &[(EntityId, RelationId)]) -> Vec<Vec<f32>> {
-        use came_tensor::backend::{self, BackendKind};
+        use came_tensor::backend;
         let n = self.num_entities;
         // Each (query, entity-shard) cell is an independent inference pass
         // writing a disjoint slice of its query's row, so sharding is exact.
         // Under the Scalar backend (or one thread) there is one shard per
         // query and this degenerates to the original sequential loop.
-        let shard = match backend::kind() {
-            BackendKind::Scalar => n,
-            BackendKind::Parallel | BackendKind::Simd => {
-                n.div_ceil(backend::num_threads()).max(512)
-            }
-        }
-        .max(1);
+        let shard = backend::shard_width(n);
         let mut out: Vec<Vec<f32>> = queries.iter().map(|_| vec![0.0f32; n]).collect();
         let mut tasks: Vec<(EntityId, RelationId, usize, &mut [f32])> = Vec::new();
         for (q, row) in queries.iter().zip(out.iter_mut()) {

@@ -3,26 +3,24 @@
 //! All dense kernels the stack spends wall-clock in — GEMM (plain, batched,
 //! and the im2col GEMMs inside conv2d), rowwise softmax / layer-norm, and the
 //! elementwise map / zip / reduce drivers — are routed through the [`Backend`]
-//! trait. Three implementations ship:
+//! trait. Two implementations ship:
 //!
 //! - [`ScalarBackend`]: the original single-threaded reference loops.
 //!   Bitwise-stable semantics; the oracle every parity test compares against.
-//! - [`ParallelBackend`]: cache-blocked, register-tiled GEMM plus
-//!   `std::thread::scope` row-panel work-stealing sized by
-//!   [`std::thread::available_parallelism`]. No external crates. Within each
-//!   output element the accumulation order is identical to the scalar kernel,
-//!   so GEMM results match the reference bit-for-bit.
-//! - [`SimdBackend`]: explicit `std::arch` x86_64 intrinsics (AVX2+FMA or
-//!   SSE2, chosen once at runtime via `is_x86_feature_detected!`) for the
-//!   kernels that dominate the TCA step; delegates to the parallel backend
-//!   on hosts without SIMD support and for the kernels that don't vectorise.
-//!   See the [`simd`] module docs for the safety argument.
+//! - [`SimdBackend`]: the threaded backend. Each kernel's fan-out (run
+//!   inline, or cut into fixed blocks for a `std::thread::scope`
+//!   work-stealing pool sized by [`std::thread::available_parallelism`]) is
+//!   written once; inside each block it runs the explicit `std::arch` x86_64
+//!   kernel (AVX2+FMA or SSE2, chosen once at runtime via
+//!   `is_x86_feature_detected!`) when the shape is wide enough, else the
+//!   portable block kernel. [`SimdBackend::portable`] pins the portable
+//!   kernels on any host. See the [`simd`] module docs for the safety
+//!   argument.
 //!
 //! The active backend is a process-wide setting: [`set_backend`] selects one
 //! programmatically, the `CAME_BACKEND` environment variable (`scalar` |
-//! `parallel` | `simd`) selects one at launch, and the default is `simd` when
-//! the host supports it, else `parallel`. Thread count follows
-//! `available_parallelism`, overridable with `CAME_THREADS`.
+//! `simd`) selects one at launch, and the default is `simd`. Thread count
+//! follows `available_parallelism`, overridable with `CAME_THREADS`.
 //!
 //! Elementwise ops keep their inner loops monomorphised: callers hand the
 //! backend a *chunk* closure (`&dyn Fn(&[f32], &mut [f32])`), so the dynamic
@@ -38,22 +36,24 @@
 //! partition depends only on the input length — never on thread count, chunk
 //! grain, or backend — so:
 //!
-//! - scalar and parallel reductions are **bitwise equal** (both reduce inside
-//!   a block in ascending element order);
-//! - the simd backend reduces inside a block with striped vector accumulators
-//!   (a different intra-block association), which agrees with the scalar
-//!   grouping to well within the 1e-5 parity tolerance but not bit-for-bit;
+//! - scalar and portable-kernel reductions are **bitwise equal** (both reduce
+//!   inside a block in ascending element order);
+//! - the vector kernels reduce inside a block with striped vector
+//!   accumulators (a different intra-block association), which agrees with
+//!   the scalar grouping to well within the 1e-5 parity tolerance but not
+//!   bit-for-bit;
 //! - results are reproducible run-to-run on every backend, because no
 //!   grouping decision is made dynamically.
 
 use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::OnceLock;
 
 mod parallel;
 mod scalar;
 pub mod simd;
 
 pub(crate) use parallel::q8_strip_for;
-pub use parallel::{num_threads, run_tasks, run_tasks_min_work, ParallelBackend};
+pub use parallel::{num_threads, run_tasks, run_tasks_min_work, shard_width};
 pub use scalar::ScalarBackend;
 pub use simd::SimdBackend;
 
@@ -62,21 +62,17 @@ pub use simd::SimdBackend;
 pub enum BackendKind {
     /// Reference single-threaded loops.
     Scalar,
-    /// Cache-blocked, multithreaded kernels.
-    Parallel,
-    /// Explicit `std::arch` vectorized kernels (runtime feature detection,
-    /// parallel fallback where unsupported).
+    /// The threaded backend: vector kernels where the host and shape allow,
+    /// portable block kernels elsewhere.
     Simd,
 }
 
 impl BackendKind {
-    /// Parse `"scalar"` / `"parallel"` / `"simd"` (case-insensitive; a few
-    /// aliases accepted).
+    /// Parse `"scalar"` / `"simd"` (case-insensitive).
     pub fn parse(s: &str) -> Option<BackendKind> {
         match s.to_ascii_lowercase().as_str() {
-            "scalar" | "ref" | "reference" => Some(BackendKind::Scalar),
-            "parallel" | "par" | "blocked" => Some(BackendKind::Parallel),
-            "simd" | "vector" | "avx" => Some(BackendKind::Simd),
+            "scalar" => Some(BackendKind::Scalar),
+            "simd" => Some(BackendKind::Simd),
             _ => None,
         }
     }
@@ -85,7 +81,6 @@ impl BackendKind {
     pub fn name(self) -> &'static str {
         match self {
             BackendKind::Scalar => "scalar",
-            BackendKind::Parallel => "parallel",
             BackendKind::Simd => "simd",
         }
     }
@@ -462,8 +457,8 @@ pub trait Backend: Send + Sync {
     /// (`min · Σa + scale · dot_q8`) so no dequantized f32 row is ever
     /// materialized. Accumulation is in ascending element order (rows are
     /// embedding-dim sized, far below [`SUM_BLOCK`], so no block grouping);
-    /// scalar and parallel backends are bitwise identical, SIMD is allowed
-    /// the usual reassociation tolerance.
+    /// scalar and portable kernels are bitwise identical, vector kernels are
+    /// allowed the usual reassociation tolerance.
     ///
     /// # Panics
     /// Panics (debug) if `a.len() != codes.len()`.
@@ -482,8 +477,8 @@ pub trait Backend: Send + Sync {
     /// precomputed element sum of query row `i`, and `codes` the row-major
     /// `[n, k]` u8 code block with per-row `scales` / `mins`. Every output
     /// element consumes its full `k` extent in one fixed ascending pass, so
-    /// scalar and parallel results are bitwise identical regardless of task
-    /// decomposition; SIMD gets the reassociation tolerance.
+    /// scalar and portable results are bitwise identical regardless of task
+    /// decomposition; vector kernels get the reassociation tolerance.
     ///
     /// # Panics
     /// Panics (debug) on slice-length mismatches against `m`/`k`/`n`.
@@ -532,7 +527,7 @@ pub(crate) fn dot_block(a: &[f32], b: &[f32]) -> f32 {
 
 /// Raw weighted code sum for [`Backend::dot_q8`]: ascending element order,
 /// codes widened `u8 → f32` per element. The reference every backend's
-/// scalar/parallel path must match bitwise.
+/// scalar/portable path must match bitwise.
 #[inline]
 pub(crate) fn dot_q8_block(a: &[f32], codes: &[u8]) -> f32 {
     debug_assert_eq!(a.len(), codes.len(), "dot_q8 length mismatch");
@@ -542,7 +537,7 @@ pub(crate) fn dot_q8_block(a: &[f32], codes: &[u8]) -> f32 {
 /// One output strip of [`Backend::gemm_q8_f32`]: query row `arow` (sum
 /// `a_sum`) against quantized rows `codes [strip, k]` with per-row affine
 /// `scales` / `mins`, written to `out[j]` in the fixed per-element order the
-/// trait documents. Shared by the scalar default and the parallel override so
+/// trait documents. Shared by the scalar default and the portable kernel so
 /// their task decompositions stay bitwise identical.
 #[inline]
 pub(crate) fn gemm_q8_strip(
@@ -942,34 +937,20 @@ pub(crate) fn outer_attention_backward_block(
 // --------------------------------------------------------------------------
 
 static SCALAR: ScalarBackend = ScalarBackend;
-static PARALLEL: ParallelBackend = ParallelBackend;
-static SIMD: SimdBackend = SimdBackend;
 
 const KIND_UNSET: u8 = u8::MAX;
 static ACTIVE: AtomicU8 = AtomicU8::new(KIND_UNSET);
 
-/// The default backend when nothing is selected: SIMD where the host has a
-/// vector unit the simd module targets, else parallel.
-fn default_kind() -> BackendKind {
-    if simd::supported() {
-        BackendKind::Simd
-    } else {
-        BackendKind::Parallel
-    }
-}
-
 fn kind_from_env() -> BackendKind {
     match std::env::var("CAME_BACKEND") {
         Ok(s) => BackendKind::parse(&s).unwrap_or_else(|| {
-            let d = default_kind();
             eprintln!(
-                "[came-tensor] unknown CAME_BACKEND={s:?} (expected \"scalar\", \
-                 \"parallel\", or \"simd\"); using {}",
-                d.name()
+                "[came-tensor] unknown CAME_BACKEND={s:?} (expected \"scalar\" or \
+                 \"simd\"); using simd"
             );
-            d
+            BackendKind::Simd
         }),
-        Err(_) => default_kind(),
+        Err(_) => BackendKind::Simd,
     }
 }
 
@@ -992,8 +973,7 @@ pub fn init_from_env() -> BackendKind {
 pub fn kind() -> BackendKind {
     match ACTIVE.load(Ordering::SeqCst) {
         0 => BackendKind::Scalar,
-        1 => BackendKind::Parallel,
-        2 => BackendKind::Simd,
+        1 => BackendKind::Simd,
         _ => init_from_env(),
     }
 }
@@ -1007,11 +987,7 @@ pub fn kind() -> BackendKind {
 pub fn active() -> &'static dyn Backend {
     let k = kind();
     if came_obs::enabled() {
-        match k {
-            BackendKind::Scalar => &TIMED_SCALAR,
-            BackendKind::Parallel => &TIMED_PARALLEL,
-            BackendKind::Simd => &TIMED_SIMD,
-        }
+        timed(k)
     } else {
         of(k)
     }
@@ -1021,10 +997,10 @@ pub fn active() -> &'static dyn Backend {
 /// tests to address both sides without mutating the global selection).
 /// Never wrapped in kernel timing, so parity harnesses measure raw kernels.
 pub fn of(kind: BackendKind) -> &'static dyn Backend {
+    static SIMD: OnceLock<SimdBackend> = OnceLock::new();
     match kind {
         BackendKind::Scalar => &SCALAR,
-        BackendKind::Parallel => &PARALLEL,
-        BackendKind::Simd => &SIMD,
+        BackendKind::Simd => SIMD.get_or_init(SimdBackend::detected),
     }
 }
 
@@ -1032,9 +1008,14 @@ pub fn of(kind: BackendKind) -> &'static dyn Backend {
 // kernel-dispatch instrumentation
 // --------------------------------------------------------------------------
 
-static TIMED_SCALAR: TimedBackend = TimedBackend { inner: &SCALAR };
-static TIMED_PARALLEL: TimedBackend = TimedBackend { inner: &PARALLEL };
-static TIMED_SIMD: TimedBackend = TimedBackend { inner: &SIMD };
+/// The timing wrapper around [`of`]`(kind)`.
+fn timed(kind: BackendKind) -> &'static TimedBackend {
+    static TIMED: OnceLock<[TimedBackend; 2]> = OnceLock::new();
+    let all = TIMED.get_or_init(|| {
+        [BackendKind::Scalar, BackendKind::Simd].map(|k| TimedBackend { inner: of(k) })
+    });
+    &all[kind as usize]
+}
 
 /// Decorator that forwards every kernel to `inner` and records the call's
 /// wall time into the `kernel.<method>` histogram (count + ns live in the
@@ -1358,39 +1339,51 @@ mod tests {
         }
     }
 
+    /// The threaded fan-out with the portable block kernels.
+    const PORTABLE: SimdBackend = SimdBackend::portable();
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn parallel_matmul_matches_scalar_above_thread_threshold() {
         let mut rng = Prng::new(1);
         let (m, k, n) = (70, 40, 50); // > PAR_MIN_FLOPS, m > PANEL_ROWS
+        assert!(m * k * n >= parallel::PAR_MIN_FLOPS && m > parallel::PANEL_ROWS);
         let a = randv(m * k, &mut rng);
         let b = randv(k * n, &mut rng);
         let mut got = vec![0.0; m * n];
         let mut want = vec![0.0; m * n];
-        ParallelBackend.matmul(&a, &b, &mut got, m, k, n);
+        PORTABLE.matmul(&a, &b, &mut got, m, k, n);
         ScalarBackend.matmul(&a, &b, &mut want, m, k, n);
-        assert_close(&got, &want, 1e-5, "par matmul");
+        assert_eq!(
+            bits(&got),
+            bits(&want),
+            "portable matmul must be bitwise scalar"
+        );
     }
 
     #[test]
     fn empty_dims_are_noops() {
-        ParallelBackend.matmul(&[], &[], &mut [], 0, 3, 0);
+        PORTABLE.matmul(&[], &[], &mut [], 0, 3, 0);
         let mut out = vec![1.0, 2.0];
         // k == 0: accumulate nothing, out untouched
-        ParallelBackend.matmul(&[], &[], &mut out, 1, 0, 2);
+        PORTABLE.matmul(&[], &[], &mut out, 1, 0, 2);
         assert_eq!(out, vec![1.0, 2.0]);
-        ParallelBackend.softmax_lanes(&mut [], 4);
+        PORTABLE.softmax_lanes(&mut [], 4);
         ScalarBackend.softmax_lanes(&mut [], 0);
-        SimdBackend.matmul(&[], &[], &mut out, 1, 0, 2);
+        SimdBackend::detected().matmul(&[], &[], &mut out, 1, 0, 2);
         assert_eq!(out, vec![1.0, 2.0]);
-        SimdBackend.softmax_lanes(&mut [], 4);
+        SimdBackend::detected().softmax_lanes(&mut [], 4);
     }
 
     #[test]
     fn blocked_sum_deterministic_and_accurate() {
         let mut rng = Prng::new(2);
         let xs = randv(100_000, &mut rng);
-        let a = ParallelBackend.sum(&xs);
-        let b = ParallelBackend.sum(&xs);
+        let a = PORTABLE.sum(&xs);
+        let b = PORTABLE.sum(&xs);
         assert_eq!(a, b, "sum must be deterministic");
         let want: f64 = xs.iter().map(|&v| v as f64).sum();
         assert!((a as f64 - want).abs() < 0.05, "{a} vs {want}");
@@ -1398,8 +1391,9 @@ mod tests {
 
     #[test]
     fn scalar_and_parallel_sums_follow_the_same_block_grouping() {
-        // the summation-order contract: both backends group at SUM_BLOCK
-        // boundaries, so results are bitwise equal for any input length
+        // the summation-order contract: the scalar backend and the portable
+        // threaded kernels group at SUM_BLOCK boundaries, so results are
+        // bitwise equal for any input length, threaded split included
         let mut rng = Prng::new(7);
         for &len in &[
             1usize,
@@ -1407,18 +1401,19 @@ mod tests {
             SUM_BLOCK - 1,
             SUM_BLOCK,
             SUM_BLOCK + 1,
+            parallel::PAR_MIN_ELEMS,
             100_000,
         ] {
             let xs = randv(len, &mut rng);
             let ys = randv(len, &mut rng);
             assert_eq!(
                 ScalarBackend.sum(&xs).to_bits(),
-                ParallelBackend.sum(&xs).to_bits(),
+                PORTABLE.sum(&xs).to_bits(),
                 "sum grouping mismatch at len {len}"
             );
             assert_eq!(
                 ScalarBackend.dot(&xs, &ys).to_bits(),
-                ParallelBackend.dot(&xs, &ys).to_bits(),
+                PORTABLE.dot(&xs, &ys).to_bits(),
                 "dot grouping mismatch at len {len}"
             );
         }
@@ -1444,12 +1439,13 @@ mod tests {
     #[test]
     fn kind_parsing() {
         assert_eq!(BackendKind::parse("Scalar"), Some(BackendKind::Scalar));
-        assert_eq!(BackendKind::parse("PARALLEL"), Some(BackendKind::Parallel));
         assert_eq!(BackendKind::parse("simd"), Some(BackendKind::Simd));
         assert_eq!(BackendKind::parse("gpu"), None);
-        assert_eq!("par".parse::<BackendKind>(), Ok(BackendKind::Parallel));
+        for retired in ["parallel", "par", "ref", "avx"] {
+            assert_eq!(BackendKind::parse(retired), None, "{retired}");
+        }
         assert_eq!("SIMD".parse::<BackendKind>(), Ok(BackendKind::Simd));
-        assert_eq!(BackendKind::Parallel.name(), "parallel");
+        assert_eq!(BackendKind::Scalar.name(), "scalar");
         assert_eq!(BackendKind::Simd.name(), "simd");
     }
 
@@ -1465,7 +1461,7 @@ mod tests {
 
         let calls_before = came_obs::registry().histogram("kernel.matmul").count();
         came_obs::set_enabled(true);
-        let timed: &dyn Backend = &TIMED_SCALAR;
+        let timed: &dyn Backend = timed(BackendKind::Scalar);
         assert_eq!(timed.name(), "scalar");
         let mut out = vec![0.0; m * n];
         timed.matmul(&a, &b, &mut out, m, k, n);

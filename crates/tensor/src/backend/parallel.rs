@@ -1,20 +1,13 @@
-//! Cache-blocked, multithreaded backend plus the scoped-thread work-stealing
-//! machinery the SIMD backend reuses for its own fan-out.
+//! Execution machinery for the threaded backend: the scoped-thread
+//! work-stealing pool, the thresholds that decide when a kernel fans out, and
+//! the portable register-tiled GEMM block.
 //!
-//! GEMM is register-tiled (4 output rows per pass) with the k loop blocked at
-//! [`KC`]; within each output element the accumulation order is identical to
-//! the scalar kernel, so GEMM results match the reference bit-for-bit.
-//! Blocked reductions (`sum`/`dot`) use the fixed [`SUM_BLOCK`] grouping so
-//! they are deterministic for any thread count and bit-equal to the scalar
-//! backend.
+//! [`gemm_tile`] keeps the scalar kernel's ascending-`k` accumulation order
+//! inside every output element, so GEMM blocks match the reference
+//! bit-for-bit. How a kernel's work is cut into tasks depends only on its
+//! shape and the thread count, never on which block kernel runs.
 
-use super::{
-    adam_chunk, bias_act_rows, check_q8_shapes, dot_block, gemm_q8_strip,
-    layer_norm_backward_one_lane, layer_norm_one_lane, outer_attention_backward_block,
-    outer_attention_block, outer_attention_fwd_block, outer_attention_fwd_col_block,
-    softmax_matmul_block, softmax_matmul_fwd_block, softmax_one_lane, sum_block, Activation,
-    AdamHp, Backend, BackendKind, ScalarBackend, SUM_BLOCK,
-};
+use super::BackendKind;
 use std::sync::{Mutex, OnceLock};
 
 /// Minimum elements before elementwise work is fanned out to threads.
@@ -74,19 +67,33 @@ pub(crate) fn steal_tasks<T: Send>(tasks: Vec<T>, f: impl Fn(T) + Sync) {
     });
 }
 
+/// Run `f` over `tasks`: on the work-stealing pool when `threaded`, else in
+/// order on the calling thread.
+pub(crate) fn fan_out<T: Send>(threaded: bool, tasks: Vec<T>, f: impl Fn(T) + Sync) {
+    if threaded {
+        steal_tasks(tasks, f);
+    } else {
+        tasks.into_iter().for_each(f);
+    }
+}
+
 /// Run `f` over `tasks` through the *active* backend's execution policy:
-/// sequential under [`ScalarBackend`], work-stealing threads under the
-/// parallel and SIMD backends. This is the hook the upper layers (filtered
-/// ranking, per-query scoring) use to shard coarse-grained work without
-/// depending on `std::thread` details.
+/// sequential under [`ScalarBackend`](super::ScalarBackend), work-stealing
+/// threads under the SIMD backend. This is the hook the upper layers
+/// (filtered ranking, per-query scoring) use to shard coarse-grained work
+/// without depending on `std::thread` details.
 pub fn run_tasks<T: Send>(tasks: Vec<T>, f: impl Fn(T) + Sync) {
+    fan_out(super::kind() == BackendKind::Simd, tasks, f);
+}
+
+/// Shard width for splitting `n` items into [`run_tasks`] tasks: one shard
+/// under the scalar backend, else about one shard per thread and never
+/// narrower than 512 items, so no task is too small to pay for its spawn.
+/// Never zero, so it is always a valid `chunks_mut` width.
+pub fn shard_width(n: usize) -> usize {
     match super::kind() {
-        BackendKind::Scalar => {
-            for t in tasks {
-                f(t);
-            }
-        }
-        BackendKind::Parallel | BackendKind::Simd => steal_tasks(tasks, f),
+        BackendKind::Scalar => n.max(1),
+        BackendKind::Simd => n.div_ceil(num_threads()).max(512),
     }
 }
 
@@ -97,13 +104,8 @@ pub fn run_tasks<T: Send>(tasks: Vec<T>, f: impl Fn(T) + Sync) {
 /// hundred candidates per triple) regressed to 0.935x when fanned out
 /// unconditionally.
 pub fn run_tasks_min_work<T: Send>(tasks: Vec<T>, total_work: usize, f: impl Fn(T) + Sync) {
-    if total_work < PAR_MIN_LANE_ELEMS {
-        for t in tasks {
-            f(t);
-        }
-        return;
-    }
-    run_tasks(tasks, f);
+    let threaded = total_work >= PAR_MIN_LANE_ELEMS && super::kind() == BackendKind::Simd;
+    fan_out(threaded, tasks, f);
 }
 
 /// Register-tiled accumulating GEMM block: processes 4 output rows at a time
@@ -153,607 +155,50 @@ pub(crate) fn gemm_tile(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usiz
     }
 }
 
-/// Min-work guard for the rowwise lane kernels: require both a large buffer
-/// and enough rows to give every thread at least two, otherwise fall through
-/// to the scalar loop.
-pub(crate) fn lane_work_parallel(len: usize, lane: usize) -> bool {
-    len >= PAR_MIN_LANE_ELEMS && num_threads() > 1 && len / lane.max(1) >= 2 * num_threads()
+/// Chunk width for the rowwise lane kernels (softmax / layer-norm): the
+/// whole buffer (one task, run inline) unless the buffer is large and has
+/// enough rows to give every thread at least two, else [`GRAIN`]-sized
+/// chunks aligned to `lane`.
+pub(crate) fn lane_chunk(len: usize, lane: usize) -> usize {
+    let threaded =
+        len >= PAR_MIN_LANE_ELEMS && num_threads() > 1 && len / lane.max(1) >= 2 * num_threads();
+    chunk_for(len, lane, threaded)
 }
 
-/// Split equal-length buffers into lockstep chunk tuples of at most `grain`
-/// elements, aligned to `lane` boundaries when `lane > 0`.
-pub(crate) fn grain_for(total: usize, lane: usize) -> usize {
+/// Chunk width for the elementwise kernels: the whole buffer below
+/// [`PAR_MIN_ELEMS`] or on one thread, else [`GRAIN`]-sized chunks.
+pub(crate) fn elem_chunk(len: usize) -> usize {
+    chunk_for(len, 1, len >= PAR_MIN_ELEMS && num_threads() > 1)
+}
+
+/// At most [`GRAIN`] elements per chunk, aligned to `lane` boundaries, when
+/// `threaded`; the whole (non-empty) buffer otherwise.
+fn chunk_for(total: usize, lane: usize, threaded: bool) -> usize {
     let lane = lane.max(1);
-    let g = (GRAIN / lane).max(1) * lane;
-    g.min(total.max(1))
+    let g = if threaded {
+        (GRAIN / lane).max(1) * lane
+    } else {
+        total
+    };
+    g.min(total).max(1)
 }
 
 /// Output-strip width for the fused q8 GEMM work-stealing decomposition:
 /// roughly [`GRAIN`] multiply-adds per stolen task, never narrower than a
-/// GEMM panel. Shared with the SIMD backend so both fan out identically.
+/// GEMM panel.
 pub(crate) fn q8_strip_for(k: usize) -> usize {
     (GRAIN / k.max(1)).max(PANEL_ROWS)
 }
 
-/// Cache-blocked multithreaded backend.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ParallelBackend;
-
-impl Backend for ParallelBackend {
-    fn name(&self) -> &'static str {
-        "parallel"
-    }
-
-    fn matmul(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(b.len(), k * n);
-        debug_assert_eq!(out.len(), m * n);
-        if m * n == 0 || k == 0 {
-            return; // nothing to accumulate
-        }
-        if m * n * k < PAR_MIN_FLOPS || num_threads() == 1 || m <= PANEL_ROWS {
-            gemm_tile(a, b, out, m, k, n);
-            return;
-        }
-        let tasks: Vec<(usize, &mut [f32])> = out.chunks_mut(PANEL_ROWS * n).enumerate().collect();
-        steal_tasks(tasks, |(pi, panel)| {
-            let i0 = pi * PANEL_ROWS;
-            let rows = panel.len() / n;
-            gemm_tile(&a[i0 * k..(i0 + rows) * k], b, panel, rows, k, n);
-        });
-    }
-
-    fn matmul_batched(
-        &self,
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-        batch: usize,
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        if batch == 0 || m * n == 0 || k == 0 {
-            return;
-        }
-        if batch * m * n * k < PAR_MIN_FLOPS || num_threads() == 1 {
-            for i in 0..batch {
-                gemm_tile(
-                    &a[i * m * k..(i + 1) * m * k],
-                    &b[i * k * n..(i + 1) * k * n],
-                    &mut out[i * m * n..(i + 1) * m * n],
-                    m,
-                    k,
-                    n,
-                );
-            }
-            return;
-        }
-        let tasks: Vec<(usize, &mut [f32])> = out.chunks_mut(m * n).enumerate().collect();
-        steal_tasks(tasks, |(i, panel)| {
-            gemm_tile(
-                &a[i * m * k..(i + 1) * m * k],
-                &b[i * k * n..(i + 1) * k * n],
-                panel,
-                m,
-                k,
-                n,
-            );
-        });
-    }
-
-    fn softmax_lanes(&self, data: &mut [f32], lane: usize) {
-        if lane == 0 || data.is_empty() {
-            return;
-        }
-        if !lane_work_parallel(data.len(), lane) {
-            for l in data.chunks_mut(lane) {
-                softmax_one_lane(l);
-            }
-            return;
-        }
-        let g = grain_for(data.len(), lane);
-        steal_tasks(data.chunks_mut(g).collect(), |chunk: &mut [f32]| {
-            for l in chunk.chunks_mut(lane) {
-                softmax_one_lane(l);
-            }
-        });
-    }
-
-    fn layer_norm_lanes(&self, data: &mut [f32], lane: usize, eps: f32) {
-        if lane == 0 || data.is_empty() {
-            return;
-        }
-        if !lane_work_parallel(data.len(), lane) {
-            for l in data.chunks_mut(lane) {
-                layer_norm_one_lane(l, eps);
-            }
-            return;
-        }
-        let g = grain_for(data.len(), lane);
-        steal_tasks(data.chunks_mut(g).collect(), |chunk: &mut [f32]| {
-            for l in chunk.chunks_mut(lane) {
-                layer_norm_one_lane(l, eps);
-            }
-        });
-    }
-
-    fn layer_norm_backward_lanes(
-        &self,
-        x: &[f32],
-        g: &[f32],
-        out: &mut [f32],
-        lane: usize,
-        eps: f32,
-    ) {
-        if lane == 0 || x.is_empty() {
-            return;
-        }
-        let run = |xs: &[f32], gs: &[f32], os: &mut [f32]| {
-            for ((xl, gl), ol) in xs
-                .chunks(lane)
-                .zip(gs.chunks(lane))
-                .zip(os.chunks_mut(lane))
-            {
-                layer_norm_backward_one_lane(xl, gl, ol, eps);
-            }
-        };
-        if !lane_work_parallel(x.len(), lane) {
-            run(x, g, out);
-            return;
-        }
-        let gr = grain_for(x.len(), lane);
-        let tasks: Vec<((&[f32], &[f32]), &mut [f32])> = x
-            .chunks(gr)
-            .zip(g.chunks(gr))
-            .zip(out.chunks_mut(gr))
-            .collect();
-        steal_tasks(tasks, |((xs, gs), os)| run(xs, gs, os));
-    }
-
-    fn run1(&self, data: &mut [f32], body: &(dyn Fn(&mut [f32]) + Sync)) {
-        if data.len() < PAR_MIN_ELEMS || num_threads() == 1 {
-            body(data);
-            return;
-        }
-        let g = grain_for(data.len(), 1);
-        steal_tasks(data.chunks_mut(g).collect(), |chunk: &mut [f32]| {
-            body(chunk)
-        });
-    }
-
-    fn run2(&self, src: &[f32], dst: &mut [f32], body: &(dyn Fn(&[f32], &mut [f32]) + Sync)) {
-        debug_assert_eq!(src.len(), dst.len());
-        if src.len() < PAR_MIN_ELEMS || num_threads() == 1 {
-            body(src, dst);
-            return;
-        }
-        let g = grain_for(src.len(), 1);
-        let tasks: Vec<(&[f32], &mut [f32])> = src.chunks(g).zip(dst.chunks_mut(g)).collect();
-        steal_tasks(tasks, |(s, d)| body(s, d));
-    }
-
-    fn run3(
-        &self,
-        a: &[f32],
-        b: &[f32],
-        dst: &mut [f32],
-        body: &(dyn Fn(&[f32], &[f32], &mut [f32]) + Sync),
-    ) {
-        debug_assert_eq!(a.len(), dst.len());
-        debug_assert_eq!(b.len(), dst.len());
-        if a.len() < PAR_MIN_ELEMS || num_threads() == 1 {
-            body(a, b, dst);
-            return;
-        }
-        let g = grain_for(a.len(), 1);
-        let tasks: Vec<((&[f32], &[f32]), &mut [f32])> = a
-            .chunks(g)
-            .zip(b.chunks(g))
-            .zip(dst.chunks_mut(g))
-            .collect();
-        steal_tasks(tasks, |((x, y), d)| body(x, y, d));
-    }
-
-    fn sum(&self, xs: &[f32]) -> f32 {
-        if xs.len() < PAR_MIN_ELEMS || num_threads() == 1 {
-            // fixed-block fold even on one thread: result must not depend on
-            // where the size threshold lands
-            return xs.chunks(SUM_BLOCK).map(sum_block).sum();
-        }
-        let mut partials = vec![0.0f32; xs.len().div_ceil(SUM_BLOCK)];
-        let tasks: Vec<(&[f32], &mut f32)> =
-            xs.chunks(SUM_BLOCK).zip(partials.iter_mut()).collect();
-        steal_tasks(tasks, |(c, slot)| *slot = sum_block(c));
-        partials.iter().sum()
-    }
-
-    fn dot(&self, xs: &[f32], ys: &[f32]) -> f32 {
-        debug_assert_eq!(xs.len(), ys.len());
-        if xs.len() < PAR_MIN_ELEMS || num_threads() == 1 {
-            return xs
-                .chunks(SUM_BLOCK)
-                .zip(ys.chunks(SUM_BLOCK))
-                .map(|(a, b)| dot_block(a, b))
-                .sum();
-        }
-        let mut partials = vec![0.0f32; xs.len().div_ceil(SUM_BLOCK)];
-        let tasks: Vec<((&[f32], &[f32]), &mut f32)> = xs
-            .chunks(SUM_BLOCK)
-            .zip(ys.chunks(SUM_BLOCK))
-            .zip(partials.iter_mut())
-            .collect();
-        steal_tasks(tasks, |((a, b), slot)| *slot = dot_block(a, b));
-        partials.iter().sum()
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn gemm_q8_f32(
-        &self,
-        a: &[f32],
-        a_sums: &[f32],
-        codes: &[u8],
-        scales: &[f32],
-        mins: &[f32],
-        out: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        check_q8_shapes(a, a_sums, codes, scales, mins, out, m, k, n);
-        if m * n * k < PAR_MIN_FLOPS || num_threads() == 1 {
-            for i in 0..m {
-                let arow = &a[i * k..(i + 1) * k];
-                let orow = &mut out[i * n..(i + 1) * n];
-                gemm_q8_strip(arow, a_sums[i], codes, scales, mins, orow, k);
-            }
-            return;
-        }
-        // One task per (query row × candidate strip): each output element
-        // still consumes its full k extent in the shared scalar order, so the
-        // decomposition cannot change any bit of the result.
-        let strip = q8_strip_for(k);
-        let tasks: Vec<(usize, usize, &mut [f32])> = out
-            .chunks_mut(n)
-            .enumerate()
-            .flat_map(|(i, orow)| {
-                orow.chunks_mut(strip)
-                    .enumerate()
-                    .map(move |(s, oseg)| (i, s * strip, oseg))
-            })
-            .collect();
-        steal_tasks(tasks, |(i, j0, oseg)| {
-            let arow = &a[i * k..(i + 1) * k];
-            let w = oseg.len();
-            gemm_q8_strip(
-                arow,
-                a_sums[i],
-                &codes[j0 * k..(j0 + w) * k],
-                &scales[j0..j0 + w],
-                &mins[j0..j0 + w],
-                oseg,
-                k,
-            );
-        });
-    }
-
-    fn adam_update(&self, x: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32], hp: &AdamHp) {
-        if x.len() < PAR_MIN_ELEMS || num_threads() == 1 {
-            adam_chunk(x, g, m, v, hp);
-            return;
-        }
-        let gr = grain_for(x.len(), 1);
-        let tasks: Vec<(((&mut [f32], &[f32]), &mut [f32]), &mut [f32])> = x
-            .chunks_mut(gr)
-            .zip(g.chunks(gr))
-            .zip(m.chunks_mut(gr))
-            .zip(v.chunks_mut(gr))
-            .collect();
-        steal_tasks(tasks, |(((xs, gs), ms), vs)| adam_chunk(xs, gs, ms, vs, hp));
-    }
-
-    fn gemm_bias_act(
-        &self,
-        a: &[f32],
-        b: &[f32],
-        bias: Option<&[f32]>,
-        out: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-        act: Activation,
-    ) {
-        if m * n == 0 {
-            return;
-        }
-        if m * n * k < PAR_MIN_FLOPS || num_threads() == 1 || m <= PANEL_ROWS {
-            gemm_tile(a, b, out, m, k, n);
-            bias_act_rows(out, bias, n, act);
-            return;
-        }
-        let tasks: Vec<(usize, &mut [f32])> = out.chunks_mut(PANEL_ROWS * n).enumerate().collect();
-        steal_tasks(tasks, |(pi, panel)| {
-            let i0 = pi * PANEL_ROWS;
-            let rows = panel.len() / n;
-            gemm_tile(&a[i0 * k..(i0 + rows) * k], b, panel, rows, k, n);
-            // epilogue while the panel is still cache-hot
-            bias_act_rows(panel, bias, n, act);
-        });
-    }
-
-    fn softmax_matmul(
-        &self,
-        scores: &[f32],
-        v: &[f32],
-        soft: &mut [f32],
-        out: &mut [f32],
-        batch: usize,
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        if batch * m * k == 0 {
-            return;
-        }
-        let seq = |soft: &mut [f32], out: &mut [f32]| {
-            for i in 0..batch {
-                softmax_matmul_block(
-                    &scores[i * m * k..(i + 1) * m * k],
-                    &v[i * k * n..(i + 1) * k * n],
-                    &mut soft[i * m * k..(i + 1) * m * k],
-                    &mut out[i * m * n..(i + 1) * m * n],
-                    m,
-                    k,
-                    n,
-                );
-            }
-        };
-        if batch == 1 || n == 0 || batch * m * k * (n + 1) < PAR_MIN_FLOPS || num_threads() == 1 {
-            seq(soft, out);
-            return;
-        }
-        let tasks: Vec<((usize, &mut [f32]), &mut [f32])> = soft
-            .chunks_mut(m * k)
-            .enumerate()
-            .zip(out.chunks_mut(m * n))
-            .collect();
-        steal_tasks(tasks, |((i, s), o)| {
-            softmax_matmul_block(
-                &scores[i * m * k..(i + 1) * m * k],
-                &v[i * k * n..(i + 1) * k * n],
-                s,
-                o,
-                m,
-                k,
-                n,
-            );
-        });
-    }
-
-    fn outer_attention(
-        &self,
-        a: &[f32],
-        c: &[f32],
-        v: &[f32],
-        tau: f32,
-        soft: &mut [f32],
-        out: &mut [f32],
-        batch: usize,
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        if batch * m * k == 0 {
-            return;
-        }
-        if batch == 1 || n == 0 || batch * m * k * (n + 1) < PAR_MIN_FLOPS || num_threads() == 1 {
-            for i in 0..batch {
-                outer_attention_block(
-                    &a[i * m..(i + 1) * m],
-                    &c[i * k..(i + 1) * k],
-                    &v[i * k * n..(i + 1) * k * n],
-                    tau,
-                    &mut soft[i * m * k..(i + 1) * m * k],
-                    &mut out[i * m * n..(i + 1) * m * n],
-                    m,
-                    k,
-                    n,
-                );
-            }
-            return;
-        }
-        let tasks: Vec<((usize, &mut [f32]), &mut [f32])> = soft
-            .chunks_mut(m * k)
-            .enumerate()
-            .zip(out.chunks_mut(m * n))
-            .collect();
-        steal_tasks(tasks, |((i, s), o)| {
-            outer_attention_block(
-                &a[i * m..(i + 1) * m],
-                &c[i * k..(i + 1) * k],
-                &v[i * k * n..(i + 1) * k * n],
-                tau,
-                s,
-                o,
-                m,
-                k,
-                n,
-            );
-        });
-    }
-
-    fn softmax_matmul_fwd(
-        &self,
-        scores: &[f32],
-        v: &[f32],
-        out: &mut [f32],
-        batch: usize,
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        if batch * m * k == 0 {
-            return;
-        }
-        if batch == 1 || n == 0 || batch * m * k * (n + 1) < PAR_MIN_FLOPS || num_threads() == 1 {
-            let mut row = crate::pool::alloc_uninit(k);
-            for i in 0..batch {
-                softmax_matmul_fwd_block(
-                    &scores[i * m * k..(i + 1) * m * k],
-                    &v[i * k * n..(i + 1) * k * n],
-                    &mut row,
-                    &mut out[i * m * n..(i + 1) * m * n],
-                    m,
-                    k,
-                    n,
-                );
-            }
-            crate::pool::recycle(row);
-            return;
-        }
-        let tasks: Vec<(usize, &mut [f32])> = out.chunks_mut(m * n).enumerate().collect();
-        steal_tasks(tasks, |(i, o)| {
-            let mut row = crate::pool::alloc_uninit(k);
-            softmax_matmul_fwd_block(
-                &scores[i * m * k..(i + 1) * m * k],
-                &v[i * k * n..(i + 1) * k * n],
-                &mut row,
-                o,
-                m,
-                k,
-                n,
-            );
-            crate::pool::recycle(row);
-        });
-    }
-
-    fn outer_attention_fwd(
-        &self,
-        a: &[f32],
-        c: &[f32],
-        v: &[f32],
-        tau: f32,
-        out: &mut [f32],
-        batch: usize,
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        if batch * m * k == 0 {
-            return;
-        }
-        if batch == 1 || n == 0 || batch * m * k * (n + 1) < PAR_MIN_FLOPS || num_threads() == 1 {
-            Backend::outer_attention_fwd(&ScalarBackend, a, c, v, tau, out, batch, m, k, n);
-            return;
-        }
-        let tasks: Vec<(usize, &mut [f32])> = out.chunks_mut(m * n).enumerate().collect();
-        steal_tasks(tasks, |(i, o)| {
-            if n == 1 {
-                let mut u = crate::pool::alloc_uninit(m * k);
-                let mut lanes = crate::pool::alloc_uninit(3 * m);
-                outer_attention_fwd_col_block(
-                    &a[i * m..(i + 1) * m],
-                    &c[i * k..(i + 1) * k],
-                    &v[i * k..(i + 1) * k],
-                    tau,
-                    &mut u,
-                    &mut lanes,
-                    o,
-                    m,
-                    k,
-                );
-                crate::pool::recycle(lanes);
-                crate::pool::recycle(u);
-                return;
-            }
-            let mut row = crate::pool::alloc_uninit(k);
-            outer_attention_fwd_block(
-                &a[i * m..(i + 1) * m],
-                &c[i * k..(i + 1) * k],
-                &v[i * k * n..(i + 1) * k * n],
-                tau,
-                &mut row,
-                o,
-                m,
-                k,
-                n,
-            );
-            crate::pool::recycle(row);
-        });
-    }
-
-    fn outer_attention_backward(
-        &self,
-        a: &[f32],
-        c: &[f32],
-        v: &[f32],
-        soft: &[f32],
-        gout: &[f32],
-        tau: f32,
-        ga: &mut [f32],
-        gc: &mut [f32],
-        gv: &mut [f32],
-        batch: usize,
-        m: usize,
-        k: usize,
-        n: usize,
-    ) -> f32 {
-        if batch * m * k == 0 {
-            return 0.0;
-        }
-        let seq = batch == 1 || batch * m * k * (n + 2) < PAR_MIN_FLOPS || num_threads() == 1;
-        if seq {
-            let mut scratch = crate::pool::alloc_uninit(k);
-            let mut gtau = 0.0f32;
-            for i in 0..batch {
-                gtau += outer_attention_backward_block(
-                    &a[i * m..(i + 1) * m],
-                    &c[i * k..(i + 1) * k],
-                    &v[i * k * n..(i + 1) * k * n],
-                    &soft[i * m * k..(i + 1) * m * k],
-                    &gout[i * m * n..(i + 1) * m * n],
-                    tau,
-                    &mut ga[i * m..(i + 1) * m],
-                    &mut gc[i * k..(i + 1) * k],
-                    &mut gv[i * k * n..(i + 1) * k * n],
-                    &mut scratch,
-                    m,
-                    k,
-                    n,
-                );
-            }
-            crate::pool::recycle(scratch);
-            return gtau;
-        }
-        // per-batch gradient slices are disjoint; τ partials land in
-        // per-entry slots so the final fold is deterministic
-        let mut gtau_parts = vec![0.0f32; batch];
-        let tasks: Vec<((((usize, &mut [f32]), &mut [f32]), &mut [f32]), &mut f32)> = ga
-            .chunks_mut(m)
-            .enumerate()
-            .zip(gc.chunks_mut(k))
-            .zip(gv.chunks_mut(k * n))
-            .zip(gtau_parts.iter_mut())
-            .collect();
-        steal_tasks(tasks, |((((i, ga_i), gc_i), gv_i), slot)| {
-            let mut scratch = crate::pool::alloc_uninit(k);
-            *slot = outer_attention_backward_block(
-                &a[i * m..(i + 1) * m],
-                &c[i * k..(i + 1) * k],
-                &v[i * k * n..(i + 1) * k * n],
-                &soft[i * m * k..(i + 1) * m * k],
-                &gout[i * m * n..(i + 1) * m * n],
-                tau,
-                ga_i,
-                gc_i,
-                gv_i,
-                &mut scratch,
-                m,
-                k,
-                n,
-            );
-            crate::pool::recycle(scratch);
-        });
-        gtau_parts.iter().sum()
-    }
+/// `buf` cut into `batch` equal contiguous per-entry slices. Unlike
+/// `chunks_mut`, an empty `buf` yields `batch` empty slices, so batched
+/// kernels with a zero-width output still visit every entry.
+pub(crate) fn entries(buf: &mut [f32], batch: usize) -> impl Iterator<Item = &mut [f32]> {
+    let w = buf.len() / batch.max(1);
+    let mut rest = buf;
+    (0..batch).map(move |_| {
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(w);
+        rest = tail;
+        head
+    })
 }

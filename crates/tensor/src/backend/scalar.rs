@@ -2,8 +2,8 @@
 //!
 //! Bitwise-stable semantics; the oracle every parity test compares against.
 //! Reductions follow the fixed-block summation contract documented on
-//! [`Backend::sum`](super::Backend::sum), so scalar and parallel results are
-//! bit-equal for any thread count.
+//! [`Backend::sum`](super::Backend::sum), so scalar and portable threaded
+//! results are bit-equal for any thread count.
 
 use super::{
     adam_chunk, dot_block, layer_norm_backward_one_lane, layer_norm_one_lane, softmax_one_lane,
@@ -77,7 +77,7 @@ impl Backend for ScalarBackend {
 
     fn sum(&self, xs: &[f32]) -> f32 {
         // fixed-block fold (see the summation contract on `Backend::sum`):
-        // bit-equal to the parallel backend for any thread count
+        // bit-equal to the portable threaded kernels for any thread count
         xs.chunks(SUM_BLOCK).map(sum_block).sum()
     }
 

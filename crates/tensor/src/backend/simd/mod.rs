@@ -1,70 +1,88 @@
-//! Explicit-SIMD backend: `std::arch` x86_64 intrinsics behind runtime
-//! feature detection.
+//! The threaded backend: every kernel's fan-out written once, with the block
+//! kernel inside each task picked by what the backend can observe.
 //!
-//! The instruction set is chosen **once** per process by [`level`]
-//! (`is_x86_feature_detected!`): AVX2+FMA where available (8-float vectors,
-//! fused multiply-add GEMM), otherwise the x86_64-baseline SSE2 (4-float
-//! vectors). Every kernel has one generic implementation in [`x86`]
-//! monomorphised per ISA and wrapped in a `#[target_feature]` entry point;
-//! dispatch is a two-arm `match` on the cached level, so the detection cost
-//! is one atomic load per kernel call. Non-x86_64 targets compile the same
-//! crate — the [`x86`] module is cfg'd out, [`supported`] is `false`, and
-//! every method delegates to [`ParallelBackend`], as do the few kernels that
-//! don't vectorise profitably (narrow GEMMs, the chunked elementwise
-//! drivers, attention backward with wide `n`).
+//! Two axes, kept apart:
+//!
+//! - **Execution.** Each kernel decides from its shape alone whether to run
+//!   on the calling thread or cut the work into fixed blocks (GEMM row
+//!   panels, batch entries, lane-aligned chunks, [`SUM_BLOCK`] reduction
+//!   blocks, q8 output strips) for the work-stealing pool in
+//!   [`super::parallel`].
+//! - **Kernel.** Inside each block, [`SimdBackend`] runs the `std::arch`
+//!   x86_64 kernel in [`x86`] when its level is AVX2+FMA (8-float vectors,
+//!   fused multiply-add) or SSE2 (4-float vectors) and the shape is wide
+//!   enough to vectorise (for GEMM, `n` of at least one column tile);
+//!   otherwise the portable block kernel: [`gemm_tile`], the shared lane
+//!   kernels in the parent module, and the column-major `n == 1` tape-free
+//!   attention block.
+//!
+//! The level is detected **once** per process (`is_x86_feature_detected!`)
+//! and stored in the backend value. [`SimdBackend::detected`] is the backend
+//! every binary runs; [`SimdBackend::portable`] pins the portable kernels on
+//! any host. Non-x86_64 targets compile the same crate with the [`x86`]
+//! module cfg'd out, where the detected level is the portable one.
 //!
 //! # Safety
 //!
 //! All `unsafe` lives in [`x86`]; see its module docs for the full argument.
-//! The obligations discharged *here* are the `#[target_feature]` call
-//! preconditions: every `dispatch!` arm is guarded by [`supported`] /
-//! [`level`], so AVX2 entry points are only reached after
-//! `is_x86_feature_detected!("avx2")`/`("fma")` returned true, and SSE2 ones
-//! only on x86_64 (where SSE2 is architecturally guaranteed).
+//! The obligation discharged *here* is the `#[target_feature]` call
+//! precondition: the `level` field is private and only ever holds a vector
+//! level that [`detect`] observed on this host (AVX2 entry points only after
+//! `is_x86_feature_detected!("avx2")`/`("fma")` returned true, SSE2 ones only
+//! on x86_64, where SSE2 is architecturally guaranteed), and `dispatch!`
+//! reaches an entry point only through that field.
 //!
 //! # Parity
 //!
-//! The vector `exp` is bit-identical per element to the scalar
-//! `fast_exp_lane`, and taped/tape-free attention entries share one row
-//! kernel, so tape vs tape-free inference stays bit-identical under this
-//! backend. Reductions keep the backend summation contract's fixed
-//! [`SUM_BLOCK`] grouping but stripe vector accumulators *inside* a block,
+//! The portable kernels share the scalar backend's per-element order, so
+//! [`SimdBackend::portable`] matches [`super::ScalarBackend`] bit-for-bit on
+//! GEMM, reductions and the q8 kernels, whatever the thread count. The vector
+//! `exp` is bit-identical per element to the scalar `fast_exp_lane`.
+//! Taped and tape-free attention keep one per-row order at each level (the
+//! vector levels share one row kernel; the portable column walk follows the
+//! portable row kernel's order), so tape vs tape-free inference stays
+//! bit-identical. Vector reductions keep
+//! the fixed [`SUM_BLOCK`] grouping but stripe accumulators *inside* a block,
 //! so `sum`/`dot` agree with the scalar backend to the 1e-5 parity budget
 //! rather than bitwise.
 //!
 //! # Autotuning
 //!
-//! The GEMM micro-kernel's row blocking (`MR`) and k-block (`KC`) default to
-//! `(4, 256)`, can be pinned with `CAME_SIMD_MR` / `CAME_SIMD_KC`, and can be
-//! measured on the host with [`autotune`], which sweeps a small grid on a
-//! representative square GEMM and installs the fastest pair process-wide
-//! (the micro-bench records the chosen tile in its provenance block).
+//! The vector GEMM micro-kernel's row blocking (`MR`) and k-block (`KC`)
+//! default to `(4, 256)`; [`set_tile`] installs another pair, and
+//! [`autotune`] sweeps a small grid on a representative square GEMM and
+//! installs the fastest pair process-wide (the micro-bench records the
+//! chosen tile in its provenance block).
 
-use super::parallel::ParallelBackend;
-use super::{bias_act_rows, Activation, AdamHp, Backend};
+use super::parallel::{
+    elem_chunk, entries, fan_out, gemm_tile, lane_chunk, num_threads, q8_strip_for, steal_tasks,
+    PANEL_ROWS, PAR_MIN_ELEMS, PAR_MIN_FLOPS,
+};
+use super::{
+    adam_chunk, bias_act_rows, check_q8_shapes, dot_block, dot_q8_block, gemm_q8_strip,
+    layer_norm_backward_one_lane, layer_norm_one_lane, outer_attention_backward_block,
+    outer_attention_block, outer_attention_fwd_block, outer_attention_fwd_col_block,
+    softmax_matmul_block, softmax_matmul_fwd_block, softmax_one_lane, sum_block, Activation,
+    AdamHp, Backend, SUM_BLOCK,
+};
+use crate::pool::{alloc_uninit, recycle, AlignedBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 #[cfg(target_arch = "x86_64")]
-use super::parallel::{
-    grain_for, lane_work_parallel, num_threads, steal_tasks, PANEL_ROWS, PAR_MIN_ELEMS,
-    PAR_MIN_FLOPS,
-};
-#[cfg(target_arch = "x86_64")]
-use super::SUM_BLOCK;
-
-#[cfg(target_arch = "x86_64")]
 pub(crate) mod x86;
 
-/// The vector instruction level the process dispatches to.
+/// The block kernels a [`SimdBackend`] runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Level {
     /// AVX2 + FMA: 8-float vectors, fused multiply-add.
+    #[cfg(target_arch = "x86_64")]
     Avx2Fma,
     /// SSE2 (the x86_64 baseline): 4-float vectors.
+    #[cfg(target_arch = "x86_64")]
     Sse2,
-    /// No supported vector unit (non-x86_64 builds).
-    None,
+    /// The portable block kernels (no vector unit this module targets).
+    Portable,
 }
 
 fn detect() -> Level {
@@ -79,7 +97,7 @@ fn detect() -> Level {
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        Level::None
+        Level::Portable
     }
 }
 
@@ -89,42 +107,37 @@ fn level() -> Level {
     *L.get_or_init(detect)
 }
 
-/// Whether this host has a vector unit the SIMD backend targets. `false`
-/// makes [`SimdBackend`] a pure delegate to [`ParallelBackend`] and keeps it
-/// out of the auto-selected default.
+/// Whether this host has a vector unit the x86 kernels target. `false` means
+/// the detected backend runs the portable block kernels.
 pub fn supported() -> bool {
-    level() != Level::None
+    level() != Level::Portable
 }
 
 /// Human-readable name of the detected instruction level
-/// (`"avx2+fma"` / `"sse2"` / `"none"`), for bench provenance.
+/// (`"avx2+fma"` / `"sse2"` / `"portable"`), for bench provenance.
 pub fn level_name() -> &'static str {
     match level() {
+        #[cfg(target_arch = "x86_64")]
         Level::Avx2Fma => "avx2+fma",
+        #[cfg(target_arch = "x86_64")]
         Level::Sse2 => "sse2",
-        Level::None => "none",
+        Level::Portable => "portable",
     }
 }
 
-/// GEMM column-tile width in floats (two vectors), 0 when unsupported.
-#[cfg(target_arch = "x86_64")]
-fn tw() -> usize {
-    match level() {
-        Level::Avx2Fma => 16,
-        Level::Sse2 => 8,
-        Level::None => 0,
-    }
-}
-
-/// Call the right `#[target_feature]` entry for the detected level. Only
-/// reachable behind a [`supported`] guard, which on x86_64 means the level is
-/// Avx2Fma or Sse2 — both architecturally safe to call once detected.
-#[cfg(target_arch = "x86_64")]
+/// Run the `#[target_feature]` entry `$fn` for a vector `$level`, or the
+/// `$portable` expression. The vector arms only exist on x86_64.
 macro_rules! dispatch {
-    ($fn:ident($($arg:expr),* $(,)?)) => {
-        match level() {
+    ($level:expr, $fn:ident($($arg:expr),* $(,)?), $portable:expr) => {
+        match $level {
+            // SAFETY: a vector level is only ever produced by `detect`, after
+            // `is_x86_feature_detected!` confirmed AVX2 and FMA on this host.
+            #[cfg(target_arch = "x86_64")]
             Level::Avx2Fma => unsafe { x86::avx2::$fn($($arg),*) },
-            _ => unsafe { x86::sse2::$fn($($arg),*) },
+            // SAFETY: SSE2 is part of the x86_64 baseline.
+            #[cfg(target_arch = "x86_64")]
+            Level::Sse2 => unsafe { x86::sse2::$fn($($arg),*) },
+            Level::Portable => $portable,
         }
     };
 }
@@ -133,31 +146,16 @@ macro_rules! dispatch {
 // GEMM tile configuration
 // --------------------------------------------------------------------------
 
-// 0 = uninitialised; first `tile()` call fills from env or defaults.
-static TILE_MR: AtomicUsize = AtomicUsize::new(0);
-static TILE_KC: AtomicUsize = AtomicUsize::new(0);
+static TILE_MR: AtomicUsize = AtomicUsize::new(4);
+static TILE_KC: AtomicUsize = AtomicUsize::new(256);
 
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
-
-/// The GEMM micro-kernel tile `(mr, kc)` in effect: `CAME_SIMD_MR` /
-/// `CAME_SIMD_KC` when set (mr limited to the compiled variants 1/2/4/6),
-/// else `(4, 256)`, unless [`set_tile`] / [`autotune`] installed another.
+/// The vector GEMM micro-kernel tile `(mr, kc)` in effect: `(4, 256)` unless
+/// [`set_tile`] / [`autotune`] installed another.
 pub fn tile() -> (usize, usize) {
-    let (mr, kc) = (
+    (
         TILE_MR.load(Ordering::Relaxed),
         TILE_KC.load(Ordering::Relaxed),
-    );
-    if mr != 0 && kc != 0 {
-        return (mr, kc);
-    }
-    let mr = env_usize("CAME_SIMD_MR")
-        .filter(|m| matches!(m, 1 | 2 | 4 | 6))
-        .unwrap_or(4);
-    let kc = env_usize("CAME_SIMD_KC").map_or(256, |k| k.clamp(16, 4096));
-    set_tile(mr, kc);
-    (mr, kc)
+    )
 }
 
 /// Install a GEMM tile `(mr, kc)` process-wide. `mr` snaps to the nearest
@@ -175,48 +173,43 @@ pub fn set_tile(mr: usize, kc: usize) {
 
 /// Measure the GEMM tile grid on this host (a small `MR x KC` sweep over a
 /// representative square product), install the fastest pair via [`set_tile`],
-/// and return it. No-op (returns the current tile) when SIMD is unsupported.
+/// and return it. No-op (returns the current tile) without a vector unit.
 pub fn autotune() -> (usize, usize) {
-    if !supported() {
+    const DIM: usize = 192;
+    let be = SimdBackend::detected();
+    if be.tw() == 0 {
         return tile();
     }
-    #[cfg(target_arch = "x86_64")]
-    {
-        const DIM: usize = 192;
-        // deterministic pseudo-data; values irrelevant, only timing matters
-        let a: Vec<f32> = (0..DIM * DIM)
-            .map(|i| (i % 13) as f32 * 0.13 - 0.7)
-            .collect();
-        let b: Vec<f32> = (0..DIM * DIM)
-            .map(|i| (i % 7) as f32 * 0.21 - 0.6)
-            .collect();
-        let mut out = vec![0.0f32; DIM * DIM];
-        let mut best = (4usize, 256usize);
-        let mut best_ns = u64::MAX;
-        for &mr in &[2usize, 4, 6] {
-            for &kc in &[128usize, 256, 512] {
-                let mut pack = crate::pool::AlignedBuf::alloc(kc * tw());
-                // warm-up, then best-of-3
+    // deterministic pseudo-data; values irrelevant, only timing matters
+    let a: Vec<f32> = (0..DIM * DIM)
+        .map(|i| (i % 13) as f32 * 0.13 - 0.7)
+        .collect();
+    let b: Vec<f32> = (0..DIM * DIM)
+        .map(|i| (i % 7) as f32 * 0.21 - 0.6)
+        .collect();
+    let mut out = vec![0.0f32; DIM * DIM];
+    let mut best = (4usize, 256usize);
+    let mut best_ns = u64::MAX;
+    for &mr in &[2usize, 4, 6] {
+        for &kc in &[128usize, 256, 512] {
+            // warm-up, then best-of-3
+            out.fill(0.0);
+            be.gemm_block(Some((mr, kc)), &a, &b, &mut out, DIM, DIM, DIM);
+            let mut ns = u64::MAX;
+            for _ in 0..3 {
                 out.fill(0.0);
-                dispatch!(matmul(&a, &b, &mut out, DIM, DIM, DIM, mr, kc, &mut pack));
-                let mut ns = u64::MAX;
-                for _ in 0..3 {
-                    out.fill(0.0);
-                    let t0 = std::time::Instant::now();
-                    dispatch!(matmul(&a, &b, &mut out, DIM, DIM, DIM, mr, kc, &mut pack));
-                    ns = ns.min(t0.elapsed().as_nanos() as u64);
-                }
-                if ns < best_ns {
-                    best_ns = ns;
-                    best = (mr, kc);
-                }
+                let t0 = std::time::Instant::now();
+                be.gemm_block(Some((mr, kc)), &a, &b, &mut out, DIM, DIM, DIM);
+                ns = ns.min(t0.elapsed().as_nanos() as u64);
+            }
+            if ns < best_ns {
+                best_ns = ns;
+                best = (mr, kc);
             }
         }
-        set_tile(best.0, best.1);
-        best
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    tile()
+    set_tile(best.0, best.1);
+    best
 }
 
 /// One-line description of the active SIMD configuration for bench
@@ -227,26 +220,147 @@ pub fn descr() -> String {
 }
 
 /// Elementwise `fast_exp` over a slice through the vectorized exp (scalar
-/// `fast_exp_lane` fallback off x86_64). Bit-identical to mapping
+/// `fast_exp_lane` on the portable level). Bit-identical to mapping
 /// `fast_exp_lane`; exposed so tests can assert that directly.
 pub fn exp_inplace(data: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if supported() {
-        dispatch!(exp_slice(data));
-        return;
-    }
-    for v in data.iter_mut() {
-        *v = crate::tensor::fast_exp_lane(*v);
-    }
+    dispatch!(
+        level(),
+        exp_slice(data),
+        for v in data.iter_mut() {
+            *v = crate::tensor::fast_exp_lane(*v);
+        }
+    )
 }
 
 // --------------------------------------------------------------------------
 // the backend
 // --------------------------------------------------------------------------
 
-/// Explicit `std::arch` vectorized backend (see module docs).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SimdBackend;
+/// The threaded backend (see module docs).
+#[derive(Clone, Copy, Debug)]
+pub struct SimdBackend {
+    level: Level,
+}
+
+impl Default for SimdBackend {
+    fn default() -> Self {
+        SimdBackend::detected()
+    }
+}
+
+impl SimdBackend {
+    /// The backend at the vector level detected on this host: what
+    /// `BackendKind::Simd` dispatches to.
+    pub fn detected() -> SimdBackend {
+        SimdBackend { level: level() }
+    }
+
+    /// The same threaded fan-out with the portable block kernels in every
+    /// task, whatever the host supports. It is the only path non-x86_64
+    /// hosts run, and it matches [`super::ScalarBackend`] bit-for-bit on
+    /// GEMM, reductions and the q8 kernels.
+    pub const fn portable() -> SimdBackend {
+        SimdBackend {
+            level: Level::Portable,
+        }
+    }
+
+    /// Vector GEMM column-tile width in floats (two vectors); 0 on the
+    /// portable level.
+    fn tw(&self) -> usize {
+        match self.level {
+            #[cfg(target_arch = "x86_64")]
+            Level::Avx2Fma => 16,
+            #[cfg(target_arch = "x86_64")]
+            Level::Sse2 => 8,
+            Level::Portable => 0,
+        }
+    }
+
+    /// The vector GEMM tile `(mr, kc)` for an `n`-wide product, read once per
+    /// call so every block of one product uses the same tile; `None` selects
+    /// the portable [`gemm_tile`] (no vector level, or narrower than one
+    /// column tile, which would be all scalar column tail).
+    fn gemm_plan(&self, n: usize) -> Option<(usize, usize)> {
+        let tw = self.tw();
+        (tw != 0 && n >= tw).then(tile)
+    }
+
+    /// One GEMM block `out[m,n] += a·b` through the kernel `plan` picked.
+    #[allow(clippy::too_many_arguments)]
+    fn gemm_block(
+        &self,
+        plan: Option<(usize, usize)>,
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        let Some((mr, kc)) = plan else {
+            return gemm_tile(a, b, out, m, k, n);
+        };
+        let mut pack = AlignedBuf::alloc(kc * self.tw());
+        dispatch!(
+            self.level,
+            matmul(a, b, out, m, k, n, mr, kc, &mut pack),
+            gemm_tile(a, b, out, m, k, n)
+        )
+    }
+
+    /// Row-panel GEMM fan-out shared by `matmul` and `gemm_bias_act`:
+    /// `epilogue` runs on each finished panel while it is cache-hot.
+    #[allow(clippy::too_many_arguments)]
+    fn gemm_panels(
+        &self,
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+        epilogue: impl Fn(&mut [f32]) + Sync,
+    ) {
+        let plan = self.gemm_plan(n);
+        let block = |a: &[f32], panel: &mut [f32], rows: usize| {
+            if k > 0 {
+                self.gemm_block(plan, a, b, panel, rows, k, n);
+            }
+            epilogue(panel);
+        };
+        if m * n * k < PAR_MIN_FLOPS || num_threads() == 1 || m <= PANEL_ROWS {
+            return block(a, out, m);
+        }
+        let tasks: Vec<(usize, &mut [f32])> = out.chunks_mut(PANEL_ROWS * n).enumerate().collect();
+        steal_tasks(tasks, |(pi, panel)| {
+            let i0 = pi * PANEL_ROWS;
+            let rows = panel.len() / n;
+            block(&a[i0 * k..(i0 + rows) * k], panel, rows);
+        });
+    }
+
+    /// Sum of `xs` as [`SUM_BLOCK`] partials folded left to right.
+    fn sum_blocks(&self, xs: &[f32]) -> f32 {
+        dispatch!(
+            self.level,
+            sum_blocks(xs),
+            xs.chunks(SUM_BLOCK).map(sum_block).sum()
+        )
+    }
+
+    /// Dot product as [`SUM_BLOCK`] partials folded left to right.
+    fn dot_blocks(&self, xs: &[f32], ys: &[f32]) -> f32 {
+        dispatch!(
+            self.level,
+            dot_blocks(xs, ys),
+            xs.chunks(SUM_BLOCK)
+                .zip(ys.chunks(SUM_BLOCK))
+                .map(|(a, b)| dot_block(a, b))
+                .sum()
+        )
+    }
+}
 
 impl Backend for SimdBackend {
     fn name(&self) -> &'static str {
@@ -260,37 +374,7 @@ impl Backend for SimdBackend {
         if m * n == 0 || k == 0 {
             return; // nothing to accumulate
         }
-        // narrow outputs would be all scalar column tail — the blocked
-        // parallel kernel handles those shapes better
-        #[cfg(target_arch = "x86_64")]
-        if supported() && n >= tw() {
-            let (mr, kc) = tile();
-            if m * n * k < PAR_MIN_FLOPS || num_threads() == 1 || m <= PANEL_ROWS {
-                let mut pack = crate::pool::AlignedBuf::alloc(kc * tw());
-                dispatch!(matmul(a, b, out, m, k, n, mr, kc, &mut pack));
-            } else {
-                let tasks: Vec<(usize, &mut [f32])> =
-                    out.chunks_mut(PANEL_ROWS * n).enumerate().collect();
-                steal_tasks(tasks, |(pi, panel)| {
-                    let i0 = pi * PANEL_ROWS;
-                    let rows = panel.len() / n;
-                    let mut pack = crate::pool::AlignedBuf::alloc(kc * tw());
-                    dispatch!(matmul(
-                        &a[i0 * k..(i0 + rows) * k],
-                        b,
-                        panel,
-                        rows,
-                        k,
-                        n,
-                        mr,
-                        kc,
-                        &mut pack
-                    ));
-                });
-            }
-            return;
-        }
-        ParallelBackend.matmul(a, b, out, m, k, n)
+        self.gemm_panels(a, b, out, m, k, n, |_| {});
     }
 
     fn matmul_batched(
@@ -306,82 +390,46 @@ impl Backend for SimdBackend {
         if batch == 0 || m * n == 0 || k == 0 {
             return;
         }
-        #[cfg(target_arch = "x86_64")]
-        if supported() && n >= tw() {
-            let (mr, kc) = tile();
-            if batch * m * n * k < PAR_MIN_FLOPS || num_threads() == 1 {
-                let mut pack = crate::pool::AlignedBuf::alloc(kc * tw());
-                for i in 0..batch {
-                    dispatch!(matmul(
-                        &a[i * m * k..(i + 1) * m * k],
-                        &b[i * k * n..(i + 1) * k * n],
-                        &mut out[i * m * n..(i + 1) * m * n],
-                        m,
-                        k,
-                        n,
-                        mr,
-                        kc,
-                        &mut pack
-                    ));
-                }
-            } else {
-                let tasks: Vec<(usize, &mut [f32])> = out.chunks_mut(m * n).enumerate().collect();
-                steal_tasks(tasks, |(i, panel)| {
-                    let mut pack = crate::pool::AlignedBuf::alloc(kc * tw());
-                    dispatch!(matmul(
-                        &a[i * m * k..(i + 1) * m * k],
-                        &b[i * k * n..(i + 1) * k * n],
-                        panel,
-                        m,
-                        k,
-                        n,
-                        mr,
-                        kc,
-                        &mut pack
-                    ));
-                });
-            }
-            return;
-        }
-        ParallelBackend.matmul_batched(a, b, out, batch, m, k, n)
+        let plan = self.gemm_plan(n);
+        let threaded = batch * m * n * k >= PAR_MIN_FLOPS;
+        let tasks: Vec<(usize, &mut [f32])> = entries(out, batch).enumerate().collect();
+        fan_out(threaded, tasks, |(i, o)| {
+            let (a, b) = (
+                &a[i * m * k..(i + 1) * m * k],
+                &b[i * k * n..(i + 1) * k * n],
+            );
+            self.gemm_block(plan, a, b, o, m, k, n);
+        });
     }
 
     fn softmax_lanes(&self, data: &mut [f32], lane: usize) {
         if lane == 0 || data.is_empty() {
             return;
         }
-        #[cfg(target_arch = "x86_64")]
-        if supported() {
-            if !lane_work_parallel(data.len(), lane) {
-                dispatch!(softmax_lanes(data, lane));
-            } else {
-                let g = grain_for(data.len(), lane);
-                steal_tasks(data.chunks_mut(g).collect(), |chunk: &mut [f32]| {
-                    dispatch!(softmax_lanes(chunk, lane))
-                });
-            }
-            return;
-        }
-        ParallelBackend.softmax_lanes(data, lane)
+        let g = lane_chunk(data.len(), lane);
+        steal_tasks(data.chunks_mut(g).collect(), |chunk: &mut [f32]| {
+            dispatch!(
+                self.level,
+                softmax_lanes(chunk, lane),
+                chunk.chunks_mut(lane).for_each(softmax_one_lane)
+            )
+        });
     }
 
     fn layer_norm_lanes(&self, data: &mut [f32], lane: usize, eps: f32) {
         if lane == 0 || data.is_empty() {
             return;
         }
-        #[cfg(target_arch = "x86_64")]
-        if supported() {
-            if !lane_work_parallel(data.len(), lane) {
-                dispatch!(layer_norm_lanes(data, lane, eps));
-            } else {
-                let g = grain_for(data.len(), lane);
-                steal_tasks(data.chunks_mut(g).collect(), |chunk: &mut [f32]| {
-                    dispatch!(layer_norm_lanes(chunk, lane, eps))
-                });
-            }
-            return;
-        }
-        ParallelBackend.layer_norm_lanes(data, lane, eps)
+        let g = lane_chunk(data.len(), lane);
+        steal_tasks(data.chunks_mut(g).collect(), |chunk: &mut [f32]| {
+            dispatch!(
+                self.level,
+                layer_norm_lanes(chunk, lane, eps),
+                for l in chunk.chunks_mut(lane) {
+                    layer_norm_one_lane(l, eps);
+                }
+            )
+        });
     }
 
     fn layer_norm_backward_lanes(
@@ -395,35 +443,42 @@ impl Backend for SimdBackend {
         if lane == 0 || x.is_empty() {
             return;
         }
-        #[cfg(target_arch = "x86_64")]
-        if supported() {
-            if !lane_work_parallel(x.len(), lane) {
-                dispatch!(layer_norm_backward_lanes(x, g, out, lane, eps));
-            } else {
-                let gr = grain_for(x.len(), lane);
-                let tasks: Vec<((&[f32], &[f32]), &mut [f32])> = x
-                    .chunks(gr)
-                    .zip(g.chunks(gr))
-                    .zip(out.chunks_mut(gr))
-                    .collect();
-                steal_tasks(tasks, |((xs, gs), os)| {
-                    dispatch!(layer_norm_backward_lanes(xs, gs, os, lane, eps))
-                });
-            }
-            return;
-        }
-        ParallelBackend.layer_norm_backward_lanes(x, g, out, lane, eps)
+        let gr = lane_chunk(x.len(), lane);
+        let tasks: Vec<((&[f32], &[f32]), &mut [f32])> = x
+            .chunks(gr)
+            .zip(g.chunks(gr))
+            .zip(out.chunks_mut(gr))
+            .collect();
+        steal_tasks(tasks, |((xs, gs), os)| {
+            dispatch!(
+                self.level,
+                layer_norm_backward_lanes(xs, gs, os, lane, eps),
+                for ((xl, gl), ol) in xs
+                    .chunks(lane)
+                    .zip(gs.chunks(lane))
+                    .zip(os.chunks_mut(lane))
+                {
+                    layer_norm_backward_one_lane(xl, gl, ol, eps);
+                }
+            )
+        });
     }
 
-    // The chunked elementwise drivers execute caller closures — nothing to
-    // vectorise at this layer; the parallel backend's threading applies as-is.
+    // The chunked elementwise drivers execute caller closures: nothing to
+    // vectorise at this layer, only the fan-out.
 
     fn run1(&self, data: &mut [f32], body: &(dyn Fn(&mut [f32]) + Sync)) {
-        ParallelBackend.run1(data, body)
+        let g = elem_chunk(data.len());
+        steal_tasks(data.chunks_mut(g).collect(), |chunk: &mut [f32]| {
+            body(chunk)
+        });
     }
 
     fn run2(&self, src: &[f32], dst: &mut [f32], body: &(dyn Fn(&[f32], &mut [f32]) + Sync)) {
-        ParallelBackend.run2(src, dst, body)
+        debug_assert_eq!(src.len(), dst.len());
+        let g = elem_chunk(src.len());
+        let tasks: Vec<(&[f32], &mut [f32])> = src.chunks(g).zip(dst.chunks_mut(g)).collect();
+        steal_tasks(tasks, |(s, d)| body(s, d));
     }
 
     fn run3(
@@ -433,52 +488,46 @@ impl Backend for SimdBackend {
         dst: &mut [f32],
         body: &(dyn Fn(&[f32], &[f32], &mut [f32]) + Sync),
     ) {
-        ParallelBackend.run3(a, b, dst, body)
+        debug_assert_eq!(a.len(), dst.len());
+        debug_assert_eq!(b.len(), dst.len());
+        let g = elem_chunk(a.len());
+        let tasks: Vec<((&[f32], &[f32]), &mut [f32])> = a
+            .chunks(g)
+            .zip(b.chunks(g))
+            .zip(dst.chunks_mut(g))
+            .collect();
+        steal_tasks(tasks, |((x, y), d)| body(x, y, d));
     }
 
     fn sum(&self, xs: &[f32]) -> f32 {
-        #[cfg(target_arch = "x86_64")]
-        if supported() {
-            if xs.len() < PAR_MIN_ELEMS || num_threads() == 1 {
-                return dispatch!(sum_blocks(xs));
-            }
-            let mut partials = vec![0.0f32; xs.len().div_ceil(SUM_BLOCK)];
-            let tasks: Vec<(&[f32], &mut f32)> =
-                xs.chunks(SUM_BLOCK).zip(partials.iter_mut()).collect();
-            steal_tasks(tasks, |(c, slot)| *slot = dispatch!(sum_one_block(c)));
-            return partials.iter().sum();
+        if xs.len() < PAR_MIN_ELEMS || num_threads() == 1 {
+            return self.sum_blocks(xs);
         }
-        ParallelBackend.sum(xs)
+        let mut partials = vec![0.0f32; xs.len().div_ceil(SUM_BLOCK)];
+        let tasks: Vec<(&[f32], &mut f32)> =
+            xs.chunks(SUM_BLOCK).zip(partials.iter_mut()).collect();
+        steal_tasks(tasks, |(c, slot)| *slot = self.sum_blocks(c));
+        partials.iter().sum()
     }
 
     fn dot(&self, xs: &[f32], ys: &[f32]) -> f32 {
         debug_assert_eq!(xs.len(), ys.len());
-        #[cfg(target_arch = "x86_64")]
-        if supported() {
-            if xs.len() < PAR_MIN_ELEMS || num_threads() == 1 {
-                return dispatch!(dot_blocks(xs, ys));
-            }
-            let mut partials = vec![0.0f32; xs.len().div_ceil(SUM_BLOCK)];
-            let tasks: Vec<((&[f32], &[f32]), &mut f32)> = xs
-                .chunks(SUM_BLOCK)
-                .zip(ys.chunks(SUM_BLOCK))
-                .zip(partials.iter_mut())
-                .collect();
-            steal_tasks(tasks, |((a, b), slot)| {
-                *slot = dispatch!(dot_one_block(a, b))
-            });
-            return partials.iter().sum();
+        if xs.len() < PAR_MIN_ELEMS || num_threads() == 1 {
+            return self.dot_blocks(xs, ys);
         }
-        ParallelBackend.dot(xs, ys)
+        let mut partials = vec![0.0f32; xs.len().div_ceil(SUM_BLOCK)];
+        let tasks: Vec<((&[f32], &[f32]), &mut f32)> = xs
+            .chunks(SUM_BLOCK)
+            .zip(ys.chunks(SUM_BLOCK))
+            .zip(partials.iter_mut())
+            .collect();
+        steal_tasks(tasks, |((a, b), slot)| *slot = self.dot_blocks(a, b));
+        partials.iter().sum()
     }
 
     fn dot_q8(&self, a: &[f32], codes: &[u8]) -> f32 {
         debug_assert_eq!(a.len(), codes.len());
-        #[cfg(target_arch = "x86_64")]
-        if supported() {
-            return dispatch!(dot_q8(a, codes));
-        }
-        ParallelBackend.dot_q8(a, codes)
+        dispatch!(self.level, dot_q8(a, codes), dot_q8_block(a, codes))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -494,73 +543,55 @@ impl Backend for SimdBackend {
         k: usize,
         n: usize,
     ) {
-        #[cfg(target_arch = "x86_64")]
-        if supported() {
-            super::check_q8_shapes(a, a_sums, codes, scales, mins, out, m, k, n);
-            if m * n * k < PAR_MIN_FLOPS || num_threads() == 1 {
-                for i in 0..m {
-                    dispatch!(gemm_q8_strip(
-                        &a[i * k..(i + 1) * k],
-                        a_sums[i],
-                        codes,
-                        scales,
-                        mins,
-                        &mut out[i * n..(i + 1) * n],
-                        k
-                    ));
-                }
-                return;
-            }
-            // Same (query row × candidate strip) decomposition as the
-            // parallel backend; each output element consumes its full k
-            // extent so the split is invisible in the result.
-            let strip = super::parallel::q8_strip_for(k);
-            let tasks: Vec<(usize, usize, &mut [f32])> = out
-                .chunks_mut(n)
-                .enumerate()
-                .flat_map(|(i, orow)| {
-                    orow.chunks_mut(strip)
-                        .enumerate()
-                        .map(move |(s, oseg)| (i, s * strip, oseg))
-                })
-                .collect();
-            steal_tasks(tasks, |(i, j0, oseg)| {
-                let w = oseg.len();
-                dispatch!(gemm_q8_strip(
-                    &a[i * k..(i + 1) * k],
-                    a_sums[i],
-                    &codes[j0 * k..(j0 + w) * k],
-                    &scales[j0..j0 + w],
-                    &mins[j0..j0 + w],
-                    oseg,
-                    k
-                ));
-            });
+        check_q8_shapes(a, a_sums, codes, scales, mins, out, m, k, n);
+        if m * n == 0 {
             return;
         }
-        ParallelBackend.gemm_q8_f32(a, a_sums, codes, scales, mins, out, m, k, n)
+        // One task per (query row × candidate strip): each output element
+        // consumes its full k extent in one fixed order, so the split is
+        // invisible in the result.
+        let threaded = m * n * k >= PAR_MIN_FLOPS;
+        let strip = if threaded { q8_strip_for(k) } else { n };
+        let tasks: Vec<(usize, usize, &mut [f32])> = out
+            .chunks_mut(n)
+            .enumerate()
+            .flat_map(|(i, orow)| {
+                orow.chunks_mut(strip)
+                    .enumerate()
+                    .map(move |(s, oseg)| (i, s * strip, oseg))
+            })
+            .collect();
+        fan_out(threaded, tasks, |(i, j0, oseg)| {
+            let arow = &a[i * k..(i + 1) * k];
+            let w = oseg.len();
+            let (codes, scales, mins) = (
+                &codes[j0 * k..(j0 + w) * k],
+                &scales[j0..j0 + w],
+                &mins[j0..j0 + w],
+            );
+            dispatch!(
+                self.level,
+                gemm_q8_strip(arow, a_sums[i], codes, scales, mins, oseg, k),
+                gemm_q8_strip(arow, a_sums[i], codes, scales, mins, oseg, k)
+            )
+        });
     }
 
     fn adam_update(&self, x: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32], hp: &AdamHp) {
-        #[cfg(target_arch = "x86_64")]
-        if supported() {
-            if x.len() < PAR_MIN_ELEMS || num_threads() == 1 {
-                dispatch!(adam_update(x, g, m, v, hp));
-                return;
-            }
-            let gr = grain_for(x.len(), 1);
-            let tasks: Vec<(((&mut [f32], &[f32]), &mut [f32]), &mut [f32])> = x
-                .chunks_mut(gr)
-                .zip(g.chunks(gr))
-                .zip(m.chunks_mut(gr))
-                .zip(v.chunks_mut(gr))
-                .collect();
-            steal_tasks(tasks, |(((xs, gs), ms), vs)| {
-                dispatch!(adam_update(xs, gs, ms, vs, hp))
-            });
-            return;
-        }
-        ParallelBackend.adam_update(x, g, m, v, hp)
+        let gr = elem_chunk(x.len());
+        let tasks: Vec<(((&mut [f32], &[f32]), &mut [f32]), &mut [f32])> = x
+            .chunks_mut(gr)
+            .zip(g.chunks(gr))
+            .zip(m.chunks_mut(gr))
+            .zip(v.chunks_mut(gr))
+            .collect();
+        steal_tasks(tasks, |(((xs, gs), ms), vs)| {
+            dispatch!(
+                self.level,
+                adam_update(xs, gs, ms, vs, hp),
+                adam_chunk(xs, gs, ms, vs, hp)
+            )
+        });
     }
 
     fn gemm_bias_act(
@@ -577,8 +608,9 @@ impl Backend for SimdBackend {
         if m * n == 0 {
             return;
         }
-        self.matmul(a, b, out, m, k, n);
-        bias_act_rows(out, bias, n, act);
+        self.gemm_panels(a, b, out, m, k, n, |panel| {
+            bias_act_rows(panel, bias, n, act)
+        });
     }
 
     fn softmax_matmul(
@@ -595,42 +627,22 @@ impl Backend for SimdBackend {
         if batch * m * k == 0 {
             return;
         }
-        #[cfg(target_arch = "x86_64")]
-        if supported() {
-            if batch == 1 || n == 0 || batch * m * k * (n + 1) < PAR_MIN_FLOPS || num_threads() == 1
-            {
-                for i in 0..batch {
-                    dispatch!(softmax_matmul_block(
-                        &scores[i * m * k..(i + 1) * m * k],
-                        &v[i * k * n..(i + 1) * k * n],
-                        &mut soft[i * m * k..(i + 1) * m * k],
-                        &mut out[i * m * n..(i + 1) * m * n],
-                        m,
-                        k,
-                        n
-                    ));
-                }
-            } else {
-                let tasks: Vec<((usize, &mut [f32]), &mut [f32])> = soft
-                    .chunks_mut(m * k)
-                    .enumerate()
-                    .zip(out.chunks_mut(m * n))
-                    .collect();
-                steal_tasks(tasks, |((i, s), o)| {
-                    dispatch!(softmax_matmul_block(
-                        &scores[i * m * k..(i + 1) * m * k],
-                        &v[i * k * n..(i + 1) * k * n],
-                        s,
-                        o,
-                        m,
-                        k,
-                        n
-                    ));
-                });
-            }
-            return;
-        }
-        ParallelBackend.softmax_matmul(scores, v, soft, out, batch, m, k, n)
+        let threaded = batch > 1 && n > 0 && batch * m * k * (n + 1) >= PAR_MIN_FLOPS;
+        let tasks: Vec<(usize, (&mut [f32], &mut [f32]))> = entries(soft, batch)
+            .zip(entries(out, batch))
+            .enumerate()
+            .collect();
+        fan_out(threaded, tasks, |(i, (s, o))| {
+            let (sc, v) = (
+                &scores[i * m * k..(i + 1) * m * k],
+                &v[i * k * n..(i + 1) * k * n],
+            );
+            dispatch!(
+                self.level,
+                softmax_matmul_block(sc, v, s, o, m, k, n),
+                softmax_matmul_block(sc, v, s, o, m, k, n)
+            )
+        });
     }
 
     fn outer_attention(
@@ -649,46 +661,20 @@ impl Backend for SimdBackend {
         if batch * m * k == 0 {
             return;
         }
-        #[cfg(target_arch = "x86_64")]
-        if supported() {
-            if batch == 1 || n == 0 || batch * m * k * (n + 1) < PAR_MIN_FLOPS || num_threads() == 1
-            {
-                for i in 0..batch {
-                    dispatch!(outer_attention_block(
-                        &a[i * m..(i + 1) * m],
-                        &c[i * k..(i + 1) * k],
-                        &v[i * k * n..(i + 1) * k * n],
-                        tau,
-                        &mut soft[i * m * k..(i + 1) * m * k],
-                        &mut out[i * m * n..(i + 1) * m * n],
-                        m,
-                        k,
-                        n
-                    ));
-                }
-            } else {
-                let tasks: Vec<((usize, &mut [f32]), &mut [f32])> = soft
-                    .chunks_mut(m * k)
-                    .enumerate()
-                    .zip(out.chunks_mut(m * n))
-                    .collect();
-                steal_tasks(tasks, |((i, s), o)| {
-                    dispatch!(outer_attention_block(
-                        &a[i * m..(i + 1) * m],
-                        &c[i * k..(i + 1) * k],
-                        &v[i * k * n..(i + 1) * k * n],
-                        tau,
-                        s,
-                        o,
-                        m,
-                        k,
-                        n
-                    ));
-                });
-            }
-            return;
-        }
-        ParallelBackend.outer_attention(a, c, v, tau, soft, out, batch, m, k, n)
+        let threaded = batch > 1 && n > 0 && batch * m * k * (n + 1) >= PAR_MIN_FLOPS;
+        let tasks: Vec<(usize, (&mut [f32], &mut [f32]))> = entries(soft, batch)
+            .zip(entries(out, batch))
+            .enumerate()
+            .collect();
+        fan_out(threaded, tasks, |(i, (s, o))| {
+            let (a, c) = (&a[i * m..(i + 1) * m], &c[i * k..(i + 1) * k]);
+            let v = &v[i * k * n..(i + 1) * k * n];
+            dispatch!(
+                self.level,
+                outer_attention_block(a, c, v, tau, s, o, m, k, n),
+                outer_attention_block(a, c, v, tau, s, o, m, k, n)
+            )
+        });
     }
 
     fn softmax_matmul_fwd(
@@ -704,42 +690,21 @@ impl Backend for SimdBackend {
         if batch * m * k == 0 {
             return;
         }
-        #[cfg(target_arch = "x86_64")]
-        if supported() {
-            if batch == 1 || n == 0 || batch * m * k * (n + 1) < PAR_MIN_FLOPS || num_threads() == 1
-            {
-                let mut row = crate::pool::alloc_uninit(k);
-                for i in 0..batch {
-                    dispatch!(softmax_matmul_fwd_block(
-                        &scores[i * m * k..(i + 1) * m * k],
-                        &v[i * k * n..(i + 1) * k * n],
-                        &mut row,
-                        &mut out[i * m * n..(i + 1) * m * n],
-                        m,
-                        k,
-                        n
-                    ));
-                }
-                crate::pool::recycle(row);
-            } else {
-                let tasks: Vec<(usize, &mut [f32])> = out.chunks_mut(m * n).enumerate().collect();
-                steal_tasks(tasks, |(i, o)| {
-                    let mut row = crate::pool::alloc_uninit(k);
-                    dispatch!(softmax_matmul_fwd_block(
-                        &scores[i * m * k..(i + 1) * m * k],
-                        &v[i * k * n..(i + 1) * k * n],
-                        &mut row,
-                        o,
-                        m,
-                        k,
-                        n
-                    ));
-                    crate::pool::recycle(row);
-                });
-            }
-            return;
-        }
-        ParallelBackend.softmax_matmul_fwd(scores, v, out, batch, m, k, n)
+        let threaded = batch > 1 && n > 0 && batch * m * k * (n + 1) >= PAR_MIN_FLOPS;
+        let tasks: Vec<(usize, &mut [f32])> = entries(out, batch).enumerate().collect();
+        fan_out(threaded, tasks, |(i, o)| {
+            let (sc, v) = (
+                &scores[i * m * k..(i + 1) * m * k],
+                &v[i * k * n..(i + 1) * k * n],
+            );
+            let mut row = alloc_uninit(k);
+            dispatch!(
+                self.level,
+                softmax_matmul_fwd_block(sc, v, &mut row, o, m, k, n),
+                softmax_matmul_fwd_block(sc, v, &mut row, o, m, k, n)
+            );
+            recycle(row);
+        });
     }
 
     fn outer_attention_fwd(
@@ -757,50 +722,31 @@ impl Backend for SimdBackend {
         if batch * m * k == 0 {
             return;
         }
-        // No column-major n == 1 special case here: the row kernel is already
-        // explicitly vectorized and — unlike the autovectorized column walk —
-        // shares its code path with the taped kernel, keeping taped and
-        // tape-free results bit-identical under this backend.
-        #[cfg(target_arch = "x86_64")]
-        if supported() {
-            if batch == 1 || n == 0 || batch * m * k * (n + 1) < PAR_MIN_FLOPS || num_threads() == 1
-            {
-                let mut row = crate::pool::alloc_uninit(k);
-                for i in 0..batch {
-                    dispatch!(outer_attention_fwd_block(
-                        &a[i * m..(i + 1) * m],
-                        &c[i * k..(i + 1) * k],
-                        &v[i * k * n..(i + 1) * k * n],
-                        tau,
-                        &mut row,
-                        &mut out[i * m * n..(i + 1) * m * n],
-                        m,
-                        k,
-                        n
-                    ));
-                }
-                crate::pool::recycle(row);
-            } else {
-                let tasks: Vec<(usize, &mut [f32])> = out.chunks_mut(m * n).enumerate().collect();
-                steal_tasks(tasks, |(i, o)| {
-                    let mut row = crate::pool::alloc_uninit(k);
-                    dispatch!(outer_attention_fwd_block(
-                        &a[i * m..(i + 1) * m],
-                        &c[i * k..(i + 1) * k],
-                        &v[i * k * n..(i + 1) * k * n],
-                        tau,
-                        &mut row,
-                        o,
-                        m,
-                        k,
-                        n
-                    ));
-                    crate::pool::recycle(row);
-                });
+        let threaded = batch > 1 && n > 0 && batch * m * k * (n + 1) >= PAR_MIN_FLOPS;
+        let tasks: Vec<(usize, &mut [f32])> = entries(out, batch).enumerate().collect();
+        fan_out(threaded, tasks, |(i, o)| {
+            let (a, c) = (&a[i * m..(i + 1) * m], &c[i * k..(i + 1) * k]);
+            let v = &v[i * k * n..(i + 1) * k * n];
+            // The portable level takes the column-major lane walk for the TCA
+            // case n == 1. The vector levels keep the row kernel: it is
+            // explicitly vectorized and shares its code path with the taped
+            // kernel, keeping taped and tape-free results bit-identical.
+            if n == 1 && self.level == Level::Portable {
+                let mut u = alloc_uninit(m * k);
+                let mut lanes = alloc_uninit(3 * m);
+                outer_attention_fwd_col_block(a, c, v, tau, &mut u, &mut lanes, o, m, k);
+                recycle(lanes);
+                recycle(u);
+                return;
             }
-            return;
-        }
-        ParallelBackend.outer_attention_fwd(a, c, v, tau, out, batch, m, k, n)
+            let mut row = alloc_uninit(k);
+            dispatch!(
+                self.level,
+                outer_attention_fwd_block(a, c, v, tau, &mut row, o, m, k, n),
+                outer_attention_fwd_block(a, c, v, tau, &mut row, o, m, k, n)
+            );
+            recycle(row);
+        });
     }
 
     fn outer_attention_backward(
@@ -822,64 +768,52 @@ impl Backend for SimdBackend {
         if batch * m * k == 0 {
             return 0.0;
         }
-        // only the TCA hot case n == 1 is vectorized; wider gradients take
-        // the scalar-inner-loop parallel path
-        #[cfg(target_arch = "x86_64")]
-        if supported() && n == 1 {
-            if batch == 1 || batch * m * k * 3 < PAR_MIN_FLOPS || num_threads() == 1 {
-                let mut scratch = crate::pool::alloc_uninit(k);
-                let mut gtau = 0.0f32;
-                for i in 0..batch {
-                    gtau += dispatch!(outer_attention_backward_block1(
-                        &a[i * m..(i + 1) * m],
-                        &c[i * k..(i + 1) * k],
-                        &v[i * k..(i + 1) * k],
-                        &soft[i * m * k..(i + 1) * m * k],
-                        &gout[i * m..(i + 1) * m],
+        let threaded = batch > 1 && batch * m * k * (n + 2) >= PAR_MIN_FLOPS;
+        // per-batch gradient slices are disjoint; τ partials land in
+        // per-entry slots so the final fold is deterministic
+        let mut gtau_parts = vec![0.0f32; batch];
+        let tasks: Vec<(usize, (((&mut [f32], &mut [f32]), &mut [f32]), &mut f32))> =
+            entries(ga, batch)
+                .zip(entries(gc, batch))
+                .zip(entries(gv, batch))
+                .zip(gtau_parts.iter_mut())
+                .enumerate()
+                .collect();
+        fan_out(threaded, tasks, |(i, (((ga, gc), gv), slot))| {
+            let (a, c) = (&a[i * m..(i + 1) * m], &c[i * k..(i + 1) * k]);
+            let v = &v[i * k * n..(i + 1) * k * n];
+            let soft = &soft[i * m * k..(i + 1) * m * k];
+            let gout = &gout[i * m * n..(i + 1) * m * n];
+            let mut scratch = alloc_uninit(k);
+            let portable = |ga: &mut [f32], gc: &mut [f32], gv: &mut [f32], s: &mut [f32]| {
+                outer_attention_backward_block(a, c, v, soft, gout, tau, ga, gc, gv, s, m, k, n)
+            };
+            // only the TCA hot case n == 1 has a vector kernel
+            *slot = if n == 1 {
+                dispatch!(
+                    self.level,
+                    outer_attention_backward_block1(
+                        a,
+                        c,
+                        v,
+                        soft,
+                        gout,
                         tau,
-                        &mut ga[i * m..(i + 1) * m],
-                        &mut gc[i * k..(i + 1) * k],
-                        &mut gv[i * k..(i + 1) * k],
+                        ga,
+                        gc,
+                        gv,
                         &mut scratch,
                         m,
                         k
-                    ));
-                }
-                crate::pool::recycle(scratch);
-                return gtau;
-            }
-            // per-batch gradient slices are disjoint; τ partials land in
-            // per-entry slots so the final fold is deterministic
-            let mut gtau_parts = vec![0.0f32; batch];
-            let tasks: Vec<((((usize, &mut [f32]), &mut [f32]), &mut [f32]), &mut f32)> = ga
-                .chunks_mut(m)
-                .enumerate()
-                .zip(gc.chunks_mut(k))
-                .zip(gv.chunks_mut(k))
-                .zip(gtau_parts.iter_mut())
-                .collect();
-            steal_tasks(tasks, |((((i, ga_i), gc_i), gv_i), slot)| {
-                let mut scratch = crate::pool::alloc_uninit(k);
-                *slot = dispatch!(outer_attention_backward_block1(
-                    &a[i * m..(i + 1) * m],
-                    &c[i * k..(i + 1) * k],
-                    &v[i * k..(i + 1) * k],
-                    &soft[i * m * k..(i + 1) * m * k],
-                    &gout[i * m..(i + 1) * m],
-                    tau,
-                    ga_i,
-                    gc_i,
-                    gv_i,
-                    &mut scratch,
-                    m,
-                    k
-                ));
-                crate::pool::recycle(scratch);
-            });
-            return gtau_parts.iter().sum();
-        }
-        ParallelBackend
-            .outer_attention_backward(a, c, v, soft, gout, tau, ga, gc, gv, batch, m, k, n)
+                    ),
+                    portable(ga, gc, gv, &mut scratch)
+                )
+            } else {
+                portable(ga, gc, gv, &mut scratch)
+            };
+            recycle(scratch);
+        });
+        gtau_parts.iter().sum()
     }
 }
 

@@ -21,7 +21,7 @@
 //!    allocation and no alignment precondition exists.
 //! 3. **`#[target_feature]` entry wrappers.** Declared `unsafe fn`; callers
 //!    (the dispatch layer in `simd/mod.rs`) discharge the obligation by
-//!    checking [`super::level`] first.
+//!    reaching them only through a detected [`super::level`].
 //!
 //! Aligned loads (`loada`) are used only on the GEMM's packed B panels,
 //! whose backing store is a 64-byte-aligned [`crate::pool::AlignedBuf`] and
@@ -1312,18 +1312,8 @@ macro_rules! isa_entries {
             }
 
             #[target_feature(enable = $features)]
-            pub(crate) unsafe fn sum_one_block(xs: &[f32]) -> f32 {
-                sum_block_v::<$isa>(xs)
-            }
-
-            #[target_feature(enable = $features)]
             pub(crate) unsafe fn dot_blocks(xs: &[f32], ys: &[f32]) -> f32 {
                 dot_blocks_g::<$isa>(xs, ys)
-            }
-
-            #[target_feature(enable = $features)]
-            pub(crate) unsafe fn dot_one_block(xs: &[f32], ys: &[f32]) -> f32 {
-                dot_block_v::<$isa>(xs, ys)
             }
 
             #[target_feature(enable = $features)]

@@ -58,7 +58,7 @@ pub(crate) fn obs_test_guard() -> std::sync::MutexGuard<'static, ()> {
 
 pub use backend::{
     fusion_enabled, infer_tape_free, set_backend, set_fusion, set_infer_tape_free, Activation,
-    Backend, BackendKind, ParallelBackend, ScalarBackend, SimdBackend,
+    Backend, BackendKind, ScalarBackend, SimdBackend,
 };
 pub use graph::{sigmoid, Graph, UnaryKind, Var};
 pub use nn::{Adam, Conv2dLayer, EmbeddingTable, Linear, ParamId, ParamStateView, ParamStore};

@@ -1,8 +1,10 @@
-//! Backend parity: every kernel of [`ParallelBackend`] and [`SimdBackend`]
-//! must match [`ScalarBackend`] within 1e-5 on randomized shapes — including
-//! sizes that are not multiples of the GEMM tile or the vector width,
-//! batch = 1, and empty dims — and the autograd backward pass must agree
-//! across all three backends.
+//! Backend parity: every kernel of [`SimdBackend`], at the host's detected
+//! vector level and on its portable block kernels, must match
+//! [`ScalarBackend`] within 1e-5 on randomized shapes — including sizes that
+//! are not multiples of the GEMM tile or the vector width, batch = 1, and
+//! empty dims — and the autograd backward pass must agree across both
+//! backends. The portable kernels are further held to bit-for-bit equality
+//! with the scalar oracle at shapes that cross the threading thresholds.
 //!
 //! Kernel tests address the implementations *directly* (no global backend
 //! mutation), so they are safe under the multithreaded test harness. The
@@ -11,16 +13,25 @@
 
 use came_tensor::backend::{self, AdamHp, Backend};
 use came_tensor::{
-    BackendKind, Graph, ParallelBackend, ParamStore, Prng, ScalarBackend, Shape, SimdBackend,
-    Tensor,
+    BackendKind, Graph, ParamStore, Prng, ScalarBackend, Shape, SimdBackend, Tensor,
 };
 use std::sync::Mutex;
 
 const TOL: f32 = 1e-5;
 
+/// The threaded backend with the portable block kernels on every host.
+static PORTABLE: SimdBackend = SimdBackend::portable();
+
 /// The backends checked against the scalar oracle.
 fn others() -> [(&'static str, &'static dyn Backend); 2] {
-    [("parallel", &ParallelBackend), ("simd", &SimdBackend)]
+    [
+        ("portable", &PORTABLE),
+        ("simd", backend::of(BackendKind::Simd)),
+    ]
+}
+
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|x| x.to_bits()).collect()
 }
 
 fn randv(n: usize, rng: &mut Prng) -> Vec<f32> {
@@ -123,8 +134,8 @@ fn softmax_parity() {
     }
     // empty buffer / zero lane are no-ops on all backends
     ScalarBackend.softmax_lanes(&mut [], 4);
-    ParallelBackend.softmax_lanes(&mut [], 0);
-    SimdBackend.softmax_lanes(&mut [], 0);
+    PORTABLE.softmax_lanes(&mut [], 0);
+    SimdBackend::detected().softmax_lanes(&mut [], 0);
 }
 
 #[test]
@@ -334,13 +345,13 @@ fn dot_q8_parity_and_scalar_reference() {
             (s - reference).abs() <= TOL * (1.0 + reference.abs()) * 10.0,
             "scalar dot_q8 k={k}: {s} vs {reference}"
         );
-        // parallel shares the scalar strip reduction: bitwise equal
+        // the portable kernel shares the scalar strip reduction: bitwise
         assert_eq!(
-            ParallelBackend.dot_q8(&a, &codes).to_bits(),
+            PORTABLE.dot_q8(&a, &codes).to_bits(),
             s.to_bits(),
-            "parallel dot_q8 k={k} must be bitwise scalar"
+            "portable dot_q8 k={k} must be bitwise scalar"
         );
-        let v = SimdBackend.dot_q8(&a, &codes);
+        let v = SimdBackend::detected().dot_q8(&a, &codes);
         assert!(
             (v - s).abs() <= TOL * (1.0 + s.abs()) * 10.0,
             "simd dot_q8 k={k}: {v} vs {s}"
@@ -374,14 +385,15 @@ fn gemm_q8_f32_parity_on_randomized_shapes() {
             ScalarBackend.gemm_q8_f32(&a, &a_sums, &codes, &scales, &mins, &mut s, m, k, n);
             assert_close(&s, &reference, &format!("scalar gemm_q8 {m}x{k}x{n}"));
             let mut p = vec![0.0f32; m * n];
-            ParallelBackend.gemm_q8_f32(&a, &a_sums, &codes, &scales, &mins, &mut p, m, k, n);
+            PORTABLE.gemm_q8_f32(&a, &a_sums, &codes, &scales, &mins, &mut p, m, k, n);
             assert_eq!(
-                s.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                p.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                "parallel gemm_q8 {m}x{k}x{n} must be bitwise scalar"
+                bits(&s),
+                bits(&p),
+                "portable gemm_q8 {m}x{k}x{n} must be bitwise scalar"
             );
             let mut v = vec![0.0f32; m * n];
-            SimdBackend.gemm_q8_f32(&a, &a_sums, &codes, &scales, &mins, &mut v, m, k, n);
+            SimdBackend::detected()
+                .gemm_q8_f32(&a, &a_sums, &codes, &scales, &mins, &mut v, m, k, n);
             // long-k reductions group differently under simd: same 10x slack
             // as the dot/sum parity checks
             for (i, (x, y)) in v.iter().zip(&s).enumerate() {
@@ -392,6 +404,75 @@ fn gemm_q8_f32_parity_on_randomized_shapes() {
             }
         }
     }
+}
+
+/// The portable threaded path against the scalar oracle, bit for bit, at
+/// shapes large enough that every kernel takes its threaded split (row
+/// panels, batch entries, `SUM_BLOCK` partials, q8 output strips) whenever
+/// the host has more than one thread.
+#[test]
+fn portable_threaded_path_is_bitwise_scalar_above_thresholds() {
+    const PAR_MIN_FLOPS: usize = 64 * 1024;
+    const PAR_MIN_ELEMS: usize = 16 * 1024;
+    let mut rng = Prng::new(0x9A7C);
+
+    // matmul: m past several 32-row panels, n both narrower and wider than
+    // a vector column tile
+    for &(m, k, n) in &[(130usize, 70usize, 9usize), (97, 300, 40)] {
+        assert!(m * k * n >= PAR_MIN_FLOPS);
+        let a = randv(m * k, &mut rng);
+        let b = randv(k * n, &mut rng);
+        let init = randv(m * n, &mut rng);
+        let (mut s, mut p) = (init.clone(), init);
+        ScalarBackend.matmul(&a, &b, &mut s, m, k, n);
+        PORTABLE.matmul(&a, &b, &mut p, m, k, n);
+        assert_eq!(bits(&s), bits(&p), "portable matmul {m}x{k}x{n}");
+    }
+
+    // matmul_batched: one task per batch entry
+    let (batch, m, k, n) = (12usize, 17usize, 33usize, 20usize);
+    assert!(batch * m * k * n >= PAR_MIN_FLOPS);
+    let a = randv(batch * m * k, &mut rng);
+    let b = randv(batch * k * n, &mut rng);
+    let (mut s, mut p) = (vec![0.0; batch * m * n], vec![0.0; batch * m * n]);
+    ScalarBackend.matmul_batched(&a, &b, &mut s, batch, m, k, n);
+    PORTABLE.matmul_batched(&a, &b, &mut p, batch, m, k, n);
+    assert_eq!(bits(&s), bits(&p), "portable matmul_batched");
+
+    // sum / dot: many SUM_BLOCK partials, ragged last block
+    let len = 5 * PAR_MIN_ELEMS + 123;
+    let xs = randv(len, &mut rng);
+    let ys = randv(len, &mut rng);
+    assert_eq!(
+        ScalarBackend.sum(&xs).to_bits(),
+        PORTABLE.sum(&xs).to_bits(),
+        "portable sum"
+    );
+    assert_eq!(
+        ScalarBackend.dot(&xs, &ys).to_bits(),
+        PORTABLE.dot(&xs, &ys).to_bits(),
+        "portable dot"
+    );
+
+    // dot_q8 on a long row, gemm_q8_f32 with several strips per query row
+    let k = 64;
+    let codes_row = randcodes(len, &mut rng);
+    assert_eq!(
+        ScalarBackend.dot_q8(&xs, &codes_row).to_bits(),
+        PORTABLE.dot_q8(&xs, &codes_row).to_bits(),
+        "portable dot_q8"
+    );
+    let (m, n) = (5usize, 1500usize);
+    assert!(m * n * k >= PAR_MIN_FLOPS);
+    let a = randv(m * k, &mut rng);
+    let a_sums: Vec<f32> = a.chunks(k).map(|r| r.iter().sum()).collect();
+    let codes = randcodes(n * k, &mut rng);
+    let scales: Vec<f32> = randv(n, &mut rng).iter().map(|s| s.abs() * 0.01).collect();
+    let mins = randv(n, &mut rng);
+    let (mut s, mut p) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
+    ScalarBackend.gemm_q8_f32(&a, &a_sums, &codes, &scales, &mins, &mut s, m, k, n);
+    PORTABLE.gemm_q8_f32(&a, &a_sums, &codes, &scales, &mins, &mut p, m, k, n);
+    assert_eq!(bits(&s), bits(&p), "portable gemm_q8_f32");
 }
 
 #[test]
@@ -407,11 +488,7 @@ fn store_variants_agree_under_every_backend() {
     with_backend(BackendKind::Scalar, || {
         f32_store.score_range_into(&queries, m, 0, n, &mut oracle);
     });
-    for kind in [
-        BackendKind::Scalar,
-        BackendKind::Parallel,
-        BackendKind::Simd,
-    ] {
+    for kind in [BackendKind::Scalar, BackendKind::Simd] {
         with_backend(kind, || {
             // tiny cache (n/4 rows) so the file store streams most rows
             let stores = [
@@ -521,15 +598,14 @@ fn grads_under(kind: BackendKind, seed: u64) -> (f32, Vec<Vec<f32>>) {
 fn backward_pass_agrees_across_backends() {
     for seed in [3u64, 17, 99] {
         let (loss_s, grads_s) = grads_under(BackendKind::Scalar, seed);
-        for kind in [BackendKind::Parallel, BackendKind::Simd] {
-            let (loss_p, grads_p) = grads_under(kind, seed);
-            assert!(
-                (loss_s - loss_p).abs() <= TOL * (1.0 + loss_s.abs()),
-                "seed {seed} {kind:?}: loss {loss_s} vs {loss_p}"
-            );
-            for (i, (gs, gp)) in grads_s.iter().zip(&grads_p).enumerate() {
-                assert_close(gp, gs, &format!("seed {seed} {kind:?}: grad[{i}]"));
-            }
+        let kind = BackendKind::Simd;
+        let (loss_p, grads_p) = grads_under(kind, seed);
+        assert!(
+            (loss_s - loss_p).abs() <= TOL * (1.0 + loss_s.abs()),
+            "seed {seed} {kind:?}: loss {loss_s} vs {loss_p}"
+        );
+        for (i, (gs, gp)) in grads_s.iter().zip(&grads_p).enumerate() {
+            assert_close(gp, gs, &format!("seed {seed} {kind:?}: grad[{i}]"));
         }
     }
 }
@@ -549,11 +625,10 @@ fn conv_forward_and_backward_agree_across_backends() {
         })
     };
     let (ys, gxs, gws, gbs) = run(BackendKind::Scalar);
-    for kind in [BackendKind::Parallel, BackendKind::Simd] {
-        let (yp, gxp, gwp, gbp) = run(kind);
-        assert_close(yp.data(), ys.data(), &format!("{kind:?} conv fwd"));
-        assert_close(gxp.data(), gxs.data(), &format!("{kind:?} conv gx"));
-        assert_close(gwp.data(), gws.data(), &format!("{kind:?} conv gw"));
-        assert_close(gbp.data(), gbs.data(), &format!("{kind:?} conv gb"));
-    }
+    let kind = BackendKind::Simd;
+    let (yp, gxp, gwp, gbp) = run(kind);
+    assert_close(yp.data(), ys.data(), &format!("{kind:?} conv fwd"));
+    assert_close(gxp.data(), gxs.data(), &format!("{kind:?} conv gx"));
+    assert_close(gwp.data(), gws.data(), &format!("{kind:?} conv gw"));
+    assert_close(gbp.data(), gbs.data(), &format!("{kind:?} conv gb"));
 }

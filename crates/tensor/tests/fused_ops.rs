@@ -104,11 +104,7 @@ fn check_gemm_bias_act(x: &Tensor, w: &Tensor, b: Option<&Tensor>, what: &str) {
 
 #[test]
 fn gemm_bias_act_matches_composed_on_both_backends() {
-    for kind in [
-        BackendKind::Scalar,
-        BackendKind::Parallel,
-        BackendKind::Simd,
-    ] {
+    for kind in [BackendKind::Scalar, BackendKind::Simd] {
         with_backend(kind, || {
             let mut rng = Prng::new(0xF0);
             // 2-D with bias, odd sizes straddling the tile boundaries
@@ -168,11 +164,7 @@ fn gemm_bias_act_finite_difference() {
 
 #[test]
 fn softmax_matmul_matches_composed_on_both_backends() {
-    for kind in [
-        BackendKind::Scalar,
-        BackendKind::Parallel,
-        BackendKind::Simd,
-    ] {
+    for kind in [BackendKind::Scalar, BackendKind::Simd] {
         with_backend(kind, || {
             let mut rng = Prng::new(0xF2);
             for &(batch, m, k, n) in &[
@@ -228,11 +220,7 @@ fn composed_outer_attention(g: &Graph, a: Var, c: Var, v: Var, tau: Var) -> Var 
 
 #[test]
 fn outer_attention_matches_composed_on_both_backends() {
-    for kind in [
-        BackendKind::Scalar,
-        BackendKind::Parallel,
-        BackendKind::Simd,
-    ] {
+    for kind in [BackendKind::Scalar, BackendKind::Simd] {
         with_backend(kind, || {
             let mut rng = Prng::new(0xF4);
             for &(batch, m, k, n) in &[

@@ -128,20 +128,19 @@ fn pooled_run_is_bit_identical_to_fresh_allocations() {
 #[test]
 fn pooled_gradients_match_across_backends() {
     let scalar = with_backend(BackendKind::Scalar, || run_cycles(true, 0xB02));
-    for kind in [BackendKind::Parallel, BackendKind::Simd] {
-        let other = with_backend(kind, || run_cycles(true, 0xB02));
-        for (i, ((ls, gs), (lp, gp))) in scalar.iter().zip(&other).enumerate() {
-            assert!(
-                (ls - lp).abs() <= TOL * (1.0 + ls.abs()),
-                "{kind:?} cycle {i}: loss {ls} vs {lp}"
-            );
-            for (which, (a, b)) in gs.iter().zip(gp).enumerate() {
-                for (j, (x, y)) in a.iter().zip(b).enumerate() {
-                    assert!(
-                        (x - y).abs() <= TOL * (1.0 + x.abs().max(y.abs())),
-                        "{kind:?} cycle {i} grad[{which}][{j}]: {x} vs {y}"
-                    );
-                }
+    let kind = BackendKind::Simd;
+    let other = with_backend(kind, || run_cycles(true, 0xB02));
+    for (i, ((ls, gs), (lp, gp))) in scalar.iter().zip(&other).enumerate() {
+        assert!(
+            (ls - lp).abs() <= TOL * (1.0 + ls.abs()),
+            "{kind:?} cycle {i}: loss {ls} vs {lp}"
+        );
+        for (which, (a, b)) in gs.iter().zip(gp).enumerate() {
+            for (j, (x, y)) in a.iter().zip(b).enumerate() {
+                assert!(
+                    (x - y).abs() <= TOL * (1.0 + x.abs().max(y.abs())),
+                    "{kind:?} cycle {i} grad[{which}][{j}]: {x} vs {y}"
+                );
             }
         }
     }

@@ -35,17 +35,17 @@ fn remainder_lanes_cover_every_tail_length() {
         let mut want = base.clone();
         let mut got = base.clone();
         ScalarBackend.softmax_lanes(&mut want, lane);
-        SimdBackend.softmax_lanes(&mut got, lane);
+        SimdBackend::detected().softmax_lanes(&mut got, lane);
         assert_close(&got, &want, &format!("softmax lane={lane}"));
 
         let mut want = base.clone();
         let mut got = base.clone();
         ScalarBackend.layer_norm_lanes(&mut want, lane, 1e-5);
-        SimdBackend.layer_norm_lanes(&mut got, lane, 1e-5);
+        SimdBackend::detected().layer_norm_lanes(&mut got, lane, 1e-5);
         assert_close(&got, &want, &format!("layer_norm lane={lane}"));
 
         let ss = ScalarBackend.sum(&base[..lane]);
-        let ps = SimdBackend.sum(&base[..lane]);
+        let ps = SimdBackend::detected().sum(&base[..lane]);
         assert!(
             (ss - ps).abs() <= TOL * (1.0 + ss.abs()),
             "sum len={lane}: {ss} vs {ps}"
@@ -68,7 +68,7 @@ fn unaligned_slice_heads_match_scalar() {
         // operate directly on the offset view in a copied buffer so the
         // kernel really sees the unaligned address
         let mut work = buf.clone();
-        SimdBackend.softmax_lanes(&mut work[off..off + 5 * lane], lane);
+        SimdBackend::detected().softmax_lanes(&mut work[off..off + 5 * lane], lane);
         assert_close(
             &work[off..off + 5 * lane],
             &want,
@@ -78,7 +78,7 @@ fn unaligned_slice_heads_match_scalar() {
         let a = &buf[off..off + 4 * lane];
         let b = &buf2[off..off + 4 * lane];
         let sd = ScalarBackend.dot(a, b);
-        let pd = SimdBackend.dot(a, b);
+        let pd = SimdBackend::detected().dot(a, b);
         assert!(
             (sd - pd).abs() <= TOL * (1.0 + sd.abs()) * 10.0,
             "dot off={off}: {sd} vs {pd}"
@@ -117,7 +117,7 @@ fn nan_and_inf_propagate_identically_through_softmax() {
             let mut want = mk(poison, at);
             let mut got = want.clone();
             ScalarBackend.softmax_lanes(&mut want, lane);
-            SimdBackend.softmax_lanes(&mut got, lane);
+            SimdBackend::detected().softmax_lanes(&mut got, lane);
             // first lane is poisoned, second lane untouched by the poison
             for i in 0..lane {
                 assert_eq!(
@@ -149,9 +149,10 @@ fn nan_and_inf_propagate_identically_through_softmax() {
 }
 
 /// The taped (`outer_attention` / `softmax_matmul`) and tape-free (`_fwd`)
-/// entries share one row kernel under the SIMD backend, so their outputs are
-/// bit-identical — the same guarantee the scalar/parallel backends give
-/// tape-free inference, re-proven here under `simd`.
+/// entries are bit-identical at every kernel level: the vector levels share
+/// one row kernel, and the portable level's column-major `n == 1` walk keeps
+/// the row kernel's per-row order. The last shape crosses the threading
+/// threshold, so the batch fan-out runs too.
 #[test]
 fn taped_and_tape_free_attention_are_bit_identical_under_simd() {
     let mut rng = Prng::new(0x51D2);
@@ -159,6 +160,7 @@ fn taped_and_tape_free_attention_are_bit_identical_under_simd() {
         (1usize, 4usize, 33usize, 1usize),
         (3, 8, 21, 1),
         (2, 5, 19, 7),
+        (16, 32, 64, 1),
     ] {
         let a = randv(batch * m, &mut rng);
         let c = randv(batch * k, &mut rng);
@@ -166,30 +168,36 @@ fn taped_and_tape_free_attention_are_bit_identical_under_simd() {
         let scores = randv(batch * m * k, &mut rng);
         let tau = 0.83;
 
-        let mut soft = vec![0.0; batch * m * k];
-        let mut taped = vec![0.0; batch * m * n];
-        SimdBackend.outer_attention(&a, &c, &v, tau, &mut soft, &mut taped, batch, m, k, n);
-        let mut fwd = vec![0.0; batch * m * n];
-        SimdBackend.outer_attention_fwd(&a, &c, &v, tau, &mut fwd, batch, m, k, n);
-        for (i, (t, f)) in taped.iter().zip(&fwd).enumerate() {
-            assert_eq!(
-                t.to_bits(),
-                f.to_bits(),
-                "outer_attention {batch}x{m}x{k}x{n} [{i}]: {t} vs {f}"
-            );
-        }
+        for (name, be) in [
+            ("simd", SimdBackend::detected()),
+            ("portable", SimdBackend::portable()),
+        ] {
+            let what = format!("{name} {batch}x{m}x{k}x{n}");
+            let mut soft = vec![0.0; batch * m * k];
+            let mut taped = vec![0.0; batch * m * n];
+            be.outer_attention(&a, &c, &v, tau, &mut soft, &mut taped, batch, m, k, n);
+            let mut fwd = vec![0.0; batch * m * n];
+            be.outer_attention_fwd(&a, &c, &v, tau, &mut fwd, batch, m, k, n);
+            for (i, (t, f)) in taped.iter().zip(&fwd).enumerate() {
+                assert_eq!(
+                    t.to_bits(),
+                    f.to_bits(),
+                    "{what} outer_attention [{i}]: {t} vs {f}"
+                );
+            }
 
-        let mut sm_soft = vec![0.0; batch * m * k];
-        let mut sm_taped = vec![0.0; batch * m * n];
-        SimdBackend.softmax_matmul(&scores, &v, &mut sm_soft, &mut sm_taped, batch, m, k, n);
-        let mut sm_fwd = vec![0.0; batch * m * n];
-        SimdBackend.softmax_matmul_fwd(&scores, &v, &mut sm_fwd, batch, m, k, n);
-        for (i, (t, f)) in sm_taped.iter().zip(&sm_fwd).enumerate() {
-            assert_eq!(
-                t.to_bits(),
-                f.to_bits(),
-                "softmax_matmul {batch}x{m}x{k}x{n} [{i}]: {t} vs {f}"
-            );
+            let mut sm_soft = vec![0.0; batch * m * k];
+            let mut sm_taped = vec![0.0; batch * m * n];
+            be.softmax_matmul(&scores, &v, &mut sm_soft, &mut sm_taped, batch, m, k, n);
+            let mut sm_fwd = vec![0.0; batch * m * n];
+            be.softmax_matmul_fwd(&scores, &v, &mut sm_fwd, batch, m, k, n);
+            for (i, (t, f)) in sm_taped.iter().zip(&sm_fwd).enumerate() {
+                assert_eq!(
+                    t.to_bits(),
+                    f.to_bits(),
+                    "{what} softmax_matmul [{i}]: {t} vs {f}"
+                );
+            }
         }
     }
 }

@@ -50,11 +50,7 @@ fn demo_store(rng: &mut Prng) -> ParamStore {
 
 #[test]
 fn tape_free_forward_is_bit_identical_on_both_backends() {
-    for kind in [
-        BackendKind::Scalar,
-        BackendKind::Parallel,
-        BackendKind::Simd,
-    ] {
+    for kind in [BackendKind::Scalar, BackendKind::Simd] {
         with_modes(kind, || {
             let mut rng = Prng::new(0x7A9E);
             let store = demo_store(&mut rng);

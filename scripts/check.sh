@@ -7,12 +7,6 @@ cargo build --release --workspace
 cargo test -q --workspace
 cargo fmt --check
 
-# SIMD-pinned test leg: the suites above run under the auto-detected default
-# backend; this pins CAME_BACKEND=simd so the vectorized kernels (and their
-# scalar-delegation fallbacks on narrow shapes) are exercised explicitly even
-# if the default ever changes.
-CAME_BACKEND=simd cargo test -q -p came-tensor -p came-kg
-
 # Inference parity gate: the tape-free serving stack must reproduce the taped
 # metrics exactly and stay >= 2x faster on the eval_full_ranking A/B row.
 # Observability gate: enabling came-obs must cost < 1% on the training step
