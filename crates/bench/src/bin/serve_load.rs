@@ -2,9 +2,8 @@
 //!
 //! Two phases over a trained CamE:
 //!
-//! 1. **Bit-equality** — the sharded engine and the full tier must
-//!    reproduce the single-engine path exactly: top-k hits (ties
-//!    included), score rows, and filtered-ranking metrics.
+//! 1. **Bit-equality** — the sharded tier must reproduce the single-engine
+//!    path exactly: top-k hits (ties included) and score rows.
 //! 2. **Open-loop load** — requests arrive at scheduled instants
 //!    (`t0 + i/QPS`) regardless of completion pace, so the reported
 //!    latency includes queueing delay and is free of coordinated
@@ -41,8 +40,7 @@ use came_bench::{came_config_drkg, came_kge, provenance_json, train_came, Scale}
 use came_biodata::presets;
 use came_encoders::{FeatureConfig, ModalFeatures};
 use came_kg::{
-    EvalConfig, FaultPlan, ScoringEngine, ServeConfig, ServeError, ServeTier, ShardedEngine, Split,
-    TierConfig, TopKRequest,
+    FaultPlan, ScoringEngine, ServeConfig, ServeError, ServeTier, Split, TierConfig, TopKRequest,
 };
 
 fn env_usize(key: &str, default: usize) -> usize {
@@ -112,34 +110,39 @@ fn main() {
         .collect();
     assert!(!reqs.is_empty(), "tiny preset must have test triples");
 
-    // ---- Phase 1: bit-equality of the sharded path -------------------------
+    // ---- Phase 1: bit-equality of the sharded tier -------------------------
     let single = ScoringEngine::with_config(&kge, &store, ServeConfig::default())
-        .expect("default serve config is valid");
-    let sharded = ShardedEngine::with_config(&kge, &store, shards, ServeConfig::default())
         .expect("default serve config is valid");
     let sample: Vec<TopKRequest> = reqs.iter().take(32).copied().collect();
     let want = single
         .top_k_batch(&sample, Some(&filter))
         .expect("single-engine top-k");
-    let got = sharded
-        .top_k_batch(&sample, Some(&filter))
-        .expect("sharded top-k");
-    let topk_equal = want.iter().zip(&got).all(|(w, g)| w.hits == g.hits);
-
-    let ecfg = EvalConfig {
-        max_triples: Some(if quick { 64 } else { 256 }),
-        ..Default::default()
+    let mut want_rows = vec![0.0f32; sample.len() * n];
+    let sample_queries: Vec<_> = sample.iter().map(|r| (r.head, r.relation)).collect();
+    single.score_into(&sample_queries, &mut want_rows);
+    // Fault-free tier with the load phase's shard count: every answer must
+    // equal the single engine's, hits and full score rows alike.
+    let check_cfg = TierConfig {
+        shards,
+        queue,
+        flush_us,
+        ..TierConfig::default()
     };
-    let m_single = single.evaluate(&bkg.dataset, Split::Test, &filter, &ecfg);
-    let m_sharded = sharded.evaluate(&bkg.dataset, Split::Test, &filter, &ecfg);
-    let eval_equal = m_single.count() == m_sharded.count()
-        && m_single.mrr() == m_sharded.mrr()
-        && m_single.mr() == m_sharded.mr()
-        && [1, 3, 10]
-            .iter()
-            .all(|&k| m_single.hits(k) == m_sharded.hits(k));
-    let bit_equal = topk_equal && eval_equal;
-    eprintln!("[serve_load] shard-vs-single bit-equality: topk={topk_equal} eval={eval_equal}");
+    let (topk_equal, scores_equal) =
+        ServeTier::run(&kge, &store, Some(&filter), check_cfg, |handle| {
+            let topk = sample
+                .iter()
+                .zip(&want)
+                .all(|(req, w)| handle.top_k(*req).is_ok_and(|g| g.hits == w.hits));
+            let scores = sample_queries
+                .iter()
+                .zip(want_rows.chunks(n))
+                .all(|(q, w)| handle.scores(*q).is_ok_and(|g| g == w));
+            (topk, scores)
+        })
+        .expect("tier config is valid");
+    let bit_equal = topk_equal && scores_equal;
+    eprintln!("[serve_load] tier-vs-single bit-equality: topk={topk_equal} scores={scores_equal}");
 
     // ---- Phase 2: open-loop load through the tier --------------------------
     // Tracing on for the load phase: the report's latency_attribution block
@@ -358,7 +361,7 @@ fn main() {
         ServeConfig::default().batch_size
     ));
     json.push_str(&format!(
-        "  \"bit_equal\": {{\"topk\": {topk_equal}, \"eval\": {eval_equal}}},\n"
+        "  \"bit_equal\": {{\"topk\": {topk_equal}, \"scores\": {scores_equal}}},\n"
     ));
     json.push_str(&format!(
         "  \"load\": {{\"offered\": {total}, \"completed\": {done}, \"rejected\": {shed}, \
@@ -411,8 +414,8 @@ fn main() {
         let mut failed = false;
         if !bit_equal {
             eprintln!(
-                "[serve_load] SERVE GATE FAILED: sharded path diverges from single engine \
-                 (topk={topk_equal} eval={eval_equal})"
+                "[serve_load] SERVE GATE FAILED: sharded tier diverges from single engine \
+                 (topk={topk_equal} scores={scores_equal})"
             );
             failed = true;
         }

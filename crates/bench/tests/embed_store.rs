@@ -2,8 +2,8 @@
 //! the default f32 path is literally the pre-store code (bit-identical),
 //! quantized heads rank-correlate with f32 within the `CAME_CHECK_QUANT`
 //! thresholds, the file-backed store serves beyond its cache budget with
-//! scores bitwise equal to the resident quantized store, sharded serving
-//! stays bitwise equal to the single engine under every layout, degraded
+//! scores bitwise equal to the resident quantized store, the sharded tier
+//! stays bitwise equal to the single engine under q8, degraded
 //! (partial-modality) serving is layout-independent, and quantized stores
 //! round-trip through version-2 checkpoints bit-identically.
 
@@ -16,7 +16,7 @@ use came_biodata::MultimodalBkg;
 use came_encoders::{FeatureConfig, ModalFeatures};
 use came_kg::{
     capture_kge, mean_spearman_topk, min_spearman_topk, restore_kge, spearman_topk, EntityId,
-    KgeModel, OneToNModel, RelationId, ScoringEngine, ServeConfig, ShardedEngine, TopKRequest,
+    KgeModel, OneToNModel, RelationId, ScoringEngine, ServeTier, TierConfig, TopKRequest,
 };
 use came_tensor::{ParamStore, StoreKind};
 
@@ -74,13 +74,16 @@ fn q8_head_rank_correlates_with_the_dense_f32_path() {
     let n = bkg.dataset.num_entities();
 
     // Dense path: no head frozen, identical to the pre-store code.
-    assert!(!kge.supports_range_scoring(), "no head before freezing");
+    assert!(
+        OneToNModel::entity_head(&model).is_none(),
+        "no head before freezing"
+    );
     let dense = score_all(&kge, &store, &queries);
 
     model.freeze_entity_store(&store, StoreKind::Q8).unwrap();
     assert!(
-        kge.supports_range_scoring(),
-        "q8 head scores ranges natively"
+        OneToNModel::entity_head(&model).is_some(),
+        "q8 head scores the entity scan"
     );
     let q8 = score_all(&kge, &store, &queries);
 
@@ -97,7 +100,7 @@ fn q8_head_rank_correlates_with_the_dense_f32_path() {
 
     // Freezing back to f32 turns the head off again — dense path, bitwise.
     model.freeze_entity_store(&store, StoreKind::F32).unwrap();
-    assert!(!kge.supports_range_scoring());
+    assert!(OneToNModel::entity_head(&model).is_none());
     assert_eq!(score_all(&kge, &store, &queries), dense);
 }
 
@@ -137,7 +140,7 @@ fn file_store_serves_beyond_its_cache_budget_bitwise_like_q8() {
 }
 
 #[test]
-fn sharded_serving_is_bitwise_identical_to_the_single_engine_under_q8() {
+fn sharded_tier_is_bitwise_identical_to_the_single_engine_under_q8() {
     let (bkg, _f, model, store) = trained_tiny();
     let kge = came_kge(&model, &bkg.dataset);
     model.freeze_entity_store(&store, StoreKind::Q8).unwrap();
@@ -145,17 +148,31 @@ fn sharded_serving_is_bitwise_identical_to_the_single_engine_under_q8() {
     let n = bkg.dataset.num_entities();
 
     let single = ScoringEngine::new(&kge, &store);
-    let mut a = vec![0.0f32; queries.len() * n];
-    single.score_into(&queries, &mut a);
+    let mut want_rows = vec![0.0f32; queries.len() * n];
+    single.score_into(&queries, &mut want_rows);
+    let reqs: Vec<TopKRequest> = queries
+        .iter()
+        .map(|&(h, r)| TopKRequest::with_k(h, r, 10))
+        .collect();
+    let want_topk = single.top_k_batch(&reqs, None).unwrap();
 
     for shards in [2, 3, 5] {
-        let sharded = ShardedEngine::with_config(&kge, &store, shards, ServeConfig::default())
-            .expect("valid shard plan");
-        let mut b = vec![0.0f32; queries.len() * n];
-        sharded.score_into(&queries, &mut b);
-        // Every fused q8 score is an independent fixed-order dot, so shard
-        // boundaries can never change a bit.
-        assert_eq!(a, b, "{shards}-shard scores diverged from single engine");
+        let cfg = TierConfig {
+            shards,
+            ..TierConfig::default()
+        };
+        ServeTier::run(&kge, &store, None, cfg, |handle| {
+            // Every fused q8 score is an independent fixed-order dot, and
+            // the shards only select from the router's scored block, so the
+            // shard count can never change a bit.
+            for ((req, want_row), want) in reqs.iter().zip(want_rows.chunks(n)).zip(&want_topk) {
+                let row = handle.scores((req.head, req.relation)).unwrap();
+                assert_eq!(row, want_row, "{shards}-shard scores diverged");
+                let got = handle.top_k(*req).unwrap();
+                assert_eq!(got.hits, want.hits, "{shards}-shard top-k diverged");
+            }
+        })
+        .expect("valid shard plan");
     }
 }
 
@@ -233,7 +250,10 @@ fn quantized_store_round_trips_through_v2_checkpoints_bit_identically() {
     let model2 = CamE::new(&mut store2, &bkg.dataset, &f, came_config_drkg());
     let kge2 = came_kge(&model2, &bkg.dataset);
     restore_kge(&kge2, &mut store2, &decoded).unwrap();
-    assert!(kge2.supports_range_scoring(), "restored head is active");
+    assert!(
+        OneToNModel::entity_head(&model2).is_some(),
+        "restored head is active"
+    );
     assert_eq!(score_all(&kge2, &store2, &queries), q8_scores);
 
     // The v1 snapshot still restores (dense path, no head).
@@ -246,7 +266,7 @@ fn quantized_store_round_trips_through_v2_checkpoints_bit_identically() {
         &came_kg::Snapshot::decode(&v1.encode()).unwrap(),
     )
     .unwrap();
-    assert!(!kge3.supports_range_scoring());
+    assert!(OneToNModel::entity_head(&model3).is_none());
 }
 
 #[test]

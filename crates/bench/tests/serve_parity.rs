@@ -13,7 +13,7 @@ use came_biodata::MultimodalBkg;
 use came_encoders::{FeatureConfig, ModalFeatures};
 use came_kg::{
     capture_kge, evaluate, restore_kge, EntityId, EvalConfig, KgeModel, RelationId, ScoringEngine,
-    ServeConfig, ServeTier, ShardedEngine, Split, TierConfig, TopKRequest,
+    ServeConfig, ServeTier, Split, TierConfig, TopKRequest,
 };
 
 // The infer switch is process-global; serialise the tests that flip it.
@@ -194,11 +194,10 @@ fn checkpoint_round_trips_bit_identically_through_the_trait_object() {
     assert_eq!(kge.state_bytes(), snap.model_state, "CamE state bytes");
 }
 
-/// Tentpole guarantee on real trained models: the sharded engine and the
-/// full serving tier reproduce the single-engine path bit for bit — top-k
-/// hits (ties included), score rows, and evaluation metrics — for both
-/// scoring disciplines (DistMult is 1-N, TransE is per-triple and scores
-/// shard stripes natively).
+/// On real trained models the serving tier reproduces the single-engine
+/// path bit for bit at every shard count — top-k hits (ties included) and
+/// score rows — for both model families (DistMult is 1-N, TransE is
+/// per-triple).
 #[test]
 fn sharded_serving_is_bit_equal_to_single_engine_on_trained_models() {
     let _guard = SWITCH_LOCK.lock().unwrap();
@@ -206,10 +205,6 @@ fn sharded_serving_is_bit_equal_to_single_engine_on_trained_models() {
     let bkg = presets::tiny(15);
     let f = features_for(&bkg);
     let filter = bkg.dataset.filter_index();
-    let ecfg = EvalConfig {
-        max_triples: Some(48),
-        ..Default::default()
-    };
     let n = bkg.dataset.num_entities();
 
     for kind in [Baseline::DistMult, Baseline::TransE] {
@@ -227,46 +222,29 @@ fn sharded_serving_is_bit_equal_to_single_engine_on_trained_models() {
             })
             .collect();
         let want_topk = single.top_k_batch(&reqs, Some(&filter)).unwrap();
-        let want_eval = single.evaluate(&bkg.dataset, Split::Test, &filter, &ecfg);
+        let q = (reqs[0].head, reqs[0].relation);
+        let mut want_row = vec![0.0f32; n];
+        single.score_into(&[q], &mut want_row);
 
-        for shards in [2usize, 4] {
-            let sharded =
-                ShardedEngine::with_config(model, trained.store(), shards, ServeConfig::default())
-                    .unwrap();
-            let got_topk = sharded.top_k_batch(&reqs, Some(&filter)).unwrap();
-            for (w, g) in want_topk.iter().zip(&got_topk) {
-                assert_eq!(w.hits, g.hits, "{} shards={shards}", kind.label());
-            }
-            let got_eval = sharded.evaluate(&bkg.dataset, Split::Test, &filter, &ecfg);
-            assert_eq!(want_eval.count(), got_eval.count(), "{}", kind.label());
-            assert_eq!(want_eval.mrr(), got_eval.mrr(), "{} MRR", kind.label());
-            assert_eq!(want_eval.mr(), got_eval.mr(), "{} MR", kind.label());
-            for k in [1, 3, 10] {
+        for shards in [2usize, 3, 4] {
+            let cfg = TierConfig {
+                shards,
+                ..TierConfig::default()
+            };
+            ServeTier::run(model, trained.store(), Some(&filter), cfg, |handle| {
+                for (req, want) in reqs.iter().zip(&want_topk) {
+                    let got = handle.top_k(*req).unwrap();
+                    assert_eq!(got.hits, want.hits, "{} shards={shards}", kind.label());
+                }
                 assert_eq!(
-                    want_eval.hits(k),
-                    got_eval.hits(k),
-                    "{} Hits@{k}",
+                    handle.scores(q).unwrap(),
+                    want_row,
+                    "{} row shards={shards}",
                     kind.label()
                 );
-            }
+            })
+            .unwrap();
         }
-
-        // The full tier (router + shards + merge) serves the same bits.
-        let cfg = TierConfig {
-            shards: 3,
-            ..TierConfig::default()
-        };
-        ServeTier::run(model, trained.store(), Some(&filter), cfg, |handle| {
-            for (req, want) in reqs.iter().zip(&want_topk) {
-                let got = handle.top_k(*req).unwrap();
-                assert_eq!(got.hits, want.hits, "{} tier", kind.label());
-            }
-            let q = (reqs[0].head, reqs[0].relation);
-            let mut want_row = vec![0.0f32; n];
-            single.score_into(&[q], &mut want_row);
-            assert_eq!(handle.scores(q).unwrap(), want_row, "{} row", kind.label());
-        })
-        .unwrap();
     }
 }
 

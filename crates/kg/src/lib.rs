@@ -49,8 +49,8 @@ pub use runtime::{
 };
 pub use serve::{
     merge_top_k, PendingScores, PendingTopK, RequestTrace, ScoredEntity, ScoringEngine,
-    ServeConfig, ServeError, ServeTier, ShardPlan, ShardedEngine, TierConfig, TierHandle,
-    TopKRequest, TopKResponse,
+    ServeConfig, ServeError, ServeTier, ShardPlan, TierConfig, TierHandle, TopKRequest,
+    TopKResponse,
 };
 pub use snapshot::{
     resume_or_init, write_atomic, ParamRecord, ResumeReport, Snapshot, SnapshotError,

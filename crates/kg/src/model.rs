@@ -7,11 +7,13 @@
 //! an external [`ParamStore`] (the codebase-wide convention), so the same
 //! trait object works for a borrowed bench model and a boxed registry model.
 //!
-//! Two adapters cover the two scoring disciplines:
-//! [`OneToNKge`] runs one batched `[B, N]` forward per query batch
-//! (1-N models), and [`TripleKge`] tiles each query over entity shards
-//! scored across the backend thread pool (per-triple models). Both run on
-//! tape-free inference graphs ([`Graph::inference`]).
+//! Two adapters cover the two model families: [`OneToNKge`] runs one
+//! batched `[B, N]` forward per query batch (1-N models), and [`TripleKge`]
+//! tiles each query over entity chunks scored across the backend thread
+//! pool (per-triple models). Both run on tape-free inference graphs
+//! ([`Graph::inference`]). Either way `score_into` is the only scoring
+//! entry point: evaluation, the engine and the serving tier all score full
+//! `[B, N]` blocks through it.
 
 use came_tensor::{Graph, ParamStore};
 
@@ -38,54 +40,6 @@ pub trait KgeModel {
     /// Panics if `out.len() != queries.len() * num_entities()`.
     fn score_into(&self, store: &ParamStore, queries: &[(EntityId, RelationId)], out: &mut [f32]);
 
-    /// Whether [`KgeModel::score_range_into`] computes only the requested
-    /// candidate range (`true`) or falls back to scoring full rows and
-    /// copying the slice out (`false`, the default).
-    ///
-    /// Per-triple models slice natively — the candidate axis is their task
-    /// axis. 1-N models compute all candidates inside one fused forward, so
-    /// sharding the candidate axis saves them nothing; the serving tier uses
-    /// this flag to score full rows once and shard only the selection work.
-    fn supports_range_scoring(&self) -> bool {
-        false
-    }
-
-    /// Score each query against the candidate entities in `lo..hi` only,
-    /// writing row-major `[queries.len(), hi - lo]` scores into `out` —
-    /// column `c` of a row is the score of entity `lo + c`. Bit-identical
-    /// to the corresponding columns of [`KgeModel::score_into`].
-    ///
-    /// The default implementation scores full rows into a scratch buffer
-    /// and copies the range out (correct for every model); adapters that
-    /// can score a candidate slice natively override it.
-    ///
-    /// # Panics
-    /// Panics if the range is out of bounds or `out` is missized.
-    fn score_range_into(
-        &self,
-        store: &ParamStore,
-        queries: &[(EntityId, RelationId)],
-        lo: usize,
-        hi: usize,
-        out: &mut [f32],
-    ) {
-        let n = self.num_entities();
-        assert!(lo <= hi && hi <= n, "candidate range {lo}..{hi} out of {n}");
-        let w = hi - lo;
-        assert_eq!(out.len(), queries.len() * w, "range buffer size mismatch");
-        if queries.is_empty() || w == 0 {
-            return;
-        }
-        if lo == 0 && hi == n {
-            return self.score_into(store, queries, out);
-        }
-        let mut full = vec![0.0f32; queries.len() * n];
-        self.score_into(store, queries, &mut full);
-        for (row, slice) in full.chunks(n).zip(out.chunks_mut(w)) {
-            slice.copy_from_slice(&row[lo..hi]);
-        }
-    }
-
     /// Whether scores for `entity` as query head come from a degraded path
     /// — a modality the model normally consumes is absent for this entity,
     /// so a learned fallback stood in. The serving layer stamps responses
@@ -102,10 +56,14 @@ pub trait KgeModel {
     /// Restore state captured by [`KgeModel::state_bytes`].
     fn restore_state(&self, bytes: &[u8]) -> Result<(), String>;
 
-    /// Hook called when this model goes behind a scoring engine: freeze
-    /// serving-side structures (e.g. a compact entity store selected by
-    /// `CAME_EMBED_STORE`). Infallible — implementations fall back to their
-    /// dense scoring path on failure. Default: nothing to prepare.
+    /// Hook called when this model goes behind a
+    /// [`ScoringEngine`](crate::ScoringEngine) or a
+    /// [`ServeTier`](crate::ServeTier): freeze serving-side structures (e.g.
+    /// a compact entity store selected by `CAME_EMBED_STORE`) that
+    /// [`KgeModel::score_into`] then uses. Must be idempotent — both entry
+    /// points call it, possibly on the same model. Infallible —
+    /// implementations fall back to their dense scoring path on failure.
+    /// Default: nothing to prepare.
     fn prepare_serving(&self, _store: &ParamStore) {}
 
     /// Serialise the model's frozen entity store for checkpoints, if one is
@@ -122,7 +80,8 @@ pub trait KgeModel {
 }
 
 /// [`KgeModel`] adapter for 1-N models: one batched inference forward per
-/// query batch, logits copied straight out of the graph.
+/// query batch, logits copied straight out of the graph — or, once serving
+/// froze an entity head, the hidden rows scored by that head.
 pub struct OneToNKge<M: OneToNModel> {
     name: String,
     model: M,
@@ -160,61 +119,25 @@ impl<M: OneToNModel> KgeModel for OneToNKge<M> {
         if queries.is_empty() {
             return;
         }
-        if self.model.entity_head().is_some() {
-            return self.score_range_into(store, queries, 0, n, out);
-        }
         let g = Graph::inference();
         let heads: Vec<u32> = queries.iter().map(|q| q.0 .0).collect();
         let rels: Vec<u32> = queries.iter().map(|q| q.1 .0).collect();
-        let scores = self.model.forward(&g, store, &heads, &rels);
-        g.with_value(scores, |t| {
-            assert_eq!(t.numel(), out.len(), "forward produced wrong shape");
-            out.copy_from_slice(t.data());
-        });
-    }
-
-    // 1-N models normally compute all candidates in one fused forward, so
-    // candidate slicing saves nothing — unless serving froze an entity head,
-    // whose fused dequant-scoring kernels do score candidate ranges natively.
-    fn supports_range_scoring(&self) -> bool {
-        self.model.entity_head().is_some()
-    }
-
-    fn score_range_into(
-        &self,
-        store: &ParamStore,
-        queries: &[(EntityId, RelationId)],
-        lo: usize,
-        hi: usize,
-        out: &mut [f32],
-    ) {
-        let n = self.num_entities;
-        assert!(lo <= hi && hi <= n, "candidate range {lo}..{hi} out of {n}");
-        let w = hi - lo;
-        assert_eq!(out.len(), queries.len() * w, "range buffer size mismatch");
-        if queries.is_empty() || w == 0 {
-            return;
-        }
+        // A frozen entity head (compact store) scores the hidden rows with
+        // its fused kernels; otherwise the dense in-graph forward does.
         if let Some(head) = self.model.entity_head() {
-            let g = Graph::inference();
-            let heads: Vec<u32> = queries.iter().map(|q| q.0 .0).collect();
-            let rels: Vec<u32> = queries.iter().map(|q| q.1 .0).collect();
             let hidden = self
                 .model
                 .forward_hidden(&g, store, &heads, &rels)
                 .expect("a model exposing an entity head must expose forward_hidden");
             return g.with_value(hidden, |t| {
-                head.score_into(t.data(), queries.len(), lo, hi, out);
+                head.score_into(t.data(), queries.len(), 0, n, out);
             });
         }
-        if lo == 0 && hi == n {
-            return self.score_into(store, queries, out);
-        }
-        let mut full = vec![0.0f32; queries.len() * n];
-        self.score_into(store, queries, &mut full);
-        for (row, slice) in full.chunks(n).zip(out.chunks_mut(w)) {
-            slice.copy_from_slice(&row[lo..hi]);
-        }
+        let scores = self.model.forward(&g, store, &heads, &rels);
+        g.with_value(scores, |t| {
+            assert_eq!(t.numel(), out.len(), "forward produced wrong shape");
+            out.copy_from_slice(t.data());
+        });
     }
 
     fn degraded(&self, entity: u32) -> bool {
@@ -243,8 +166,8 @@ impl<M: OneToNModel> KgeModel for OneToNKge<M> {
 }
 
 /// [`KgeModel`] adapter for per-triple models: every query is tiled over
-/// entity shards, each shard scored by an independent inference pass on its
-/// own thread (the candidate axis is the parallel dimension).
+/// entity chunks, each chunk scored by an independent inference pass on the
+/// backend thread pool (the candidate axis is the parallel dimension).
 pub struct TripleKge<M: TripleModel> {
     name: String,
     model: M,
@@ -277,43 +200,22 @@ impl<M: TripleModel> KgeModel for TripleKge<M> {
     }
 
     fn score_into(&self, store: &ParamStore, queries: &[(EntityId, RelationId)], out: &mut [f32]) {
-        // Each (query, entity-shard) cell is an independent inference pass
-        // writing a disjoint slice of its query's row, so sharding is exact.
-        // Under the Scalar backend (or one thread) there is one shard per
-        // query and this degenerates to a sequential loop.
-        self.score_range_into(store, queries, 0, self.num_entities, out);
-    }
-
-    fn supports_range_scoring(&self) -> bool {
-        true
-    }
-
-    fn score_range_into(
-        &self,
-        store: &ParamStore,
-        queries: &[(EntityId, RelationId)],
-        lo: usize,
-        hi: usize,
-        out: &mut [f32],
-    ) {
         use came_tensor::backend;
         let n = self.num_entities;
-        assert!(lo <= hi && hi <= n, "candidate range {lo}..{hi} out of {n}");
-        let w = hi - lo;
-        assert_eq!(out.len(), queries.len() * w, "range buffer size mismatch");
-        if queries.is_empty() || w == 0 {
+        assert_eq!(out.len(), queries.len() * n, "score buffer size mismatch");
+        if queries.is_empty() || n == 0 {
             return;
         }
-        // Same per-(query, chunk) independent inference passes as
-        // `score_into`, tiled over the requested range only: each candidate's
-        // score is a row-local function of its (h, r, t) triple, so chunk
-        // boundaries never change values and the slice is bit-identical to
-        // the full-row path.
-        let shard = backend::shard_width(w);
+        // Each (query, entity-chunk) cell is an independent inference pass
+        // writing a disjoint slice of its query's row: a candidate's score is
+        // a row-local function of its (h, r, t) triple, so chunk boundaries
+        // never change values. Under the Scalar backend (or one thread)
+        // there is one chunk per query and this is a sequential loop.
+        let shard = backend::shard_width(n);
         let mut tasks: Vec<(EntityId, RelationId, usize, &mut [f32])> = Vec::new();
-        for (q, row) in queries.iter().zip(out.chunks_mut(w)) {
+        for (q, row) in queries.iter().zip(out.chunks_mut(n)) {
             for (si, chunk) in row.chunks_mut(shard).enumerate() {
-                tasks.push((q.0, q.1, lo + si * shard, chunk));
+                tasks.push((q.0, q.1, si * shard, chunk));
             }
         }
         backend::run_tasks(tasks, |(h, r, start, chunk)| {

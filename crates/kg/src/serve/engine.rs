@@ -14,8 +14,8 @@ use crate::triple::Triple;
 use crate::vocab::{EntityId, RelationId};
 
 /// Reject a request naming ids outside the served space or asking for zero
-/// candidates. Shared by the engine, the sharded engine, and the router's
-/// admission control so every entry point rejects identically.
+/// candidates. Shared by the engine and the router's admission control so
+/// every entry point rejects identically.
 pub(super) fn validate_request(
     req: &TopKRequest,
     num_entities: usize,
@@ -52,20 +52,6 @@ pub(super) fn record_batch(queries: usize, ns: u64) {
         let qps = queries as f64 * 1e9 / ns as f64;
         r.gauge("serve.qps").set(qps as i64);
     }
-}
-
-/// Draw the evaluation triples for a split: inverse-augmented, optionally
-/// shuffled and truncated to `cfg.max_triples` with the eval seed. Shared
-/// by the single-engine and sharded `evaluate` so both rank the exact same
-/// triple sequence.
-pub(super) fn eval_triples(dataset: &KgDataset, split: Split, cfg: &EvalConfig) -> Vec<Triple> {
-    let mut triples = dataset.augmented(split);
-    if let Some(cap) = cfg.max_triples {
-        let mut rng = Prng::new(cfg.seed);
-        rng.shuffle(&mut triples);
-        triples.truncate(cap);
-    }
-    triples
 }
 
 /// Batched scoring engine: a [`KgeModel`] plus its [`ParamStore`], serving
@@ -146,7 +132,12 @@ impl<'a> ScoringEngine<'a> {
         filter: &FilterIndex,
         cfg: &EvalConfig,
     ) -> RankMetrics {
-        let triples = eval_triples(dataset, split, cfg);
+        let mut triples = dataset.augmented(split);
+        if let Some(cap) = cfg.max_triples {
+            let mut rng = Prng::new(cfg.seed);
+            rng.shuffle(&mut triples);
+            triples.truncate(cap);
+        }
         self.rank_triples(&triples, filter, cfg.batch_size)
     }
 

@@ -9,17 +9,17 @@
 //!   core from PR 4: full-ranking evaluation and top-k retrieval over one
 //!   flat `[B, N]` score buffer, now with typed [`ServeError`] admission
 //!   (out-of-range ids, `k == 0`, zero batch sizes) instead of panics.
-//! * **shard** ([`ShardedEngine`], [`ShardPlan`]) — partitions the entity
-//!   candidate axis into contiguous per-shard ranges. Per-triple models
-//!   score their range natively
-//!   ([`KgeModel::score_range_into`](crate::model::KgeModel::score_range_into));
-//!   1-N models score full rows once and shard the selection work. Either
-//!   way results are bit-identical to the single-engine path.
+//! * **shard** ([`ShardPlan`]) — partitions the entity candidate axis into
+//!   contiguous per-shard column stripes. Shards only *select*: the router
+//!   scores each batch once into a full `[Q, N]` block through
+//!   [`KgeModel::score_into`](crate::model::KgeModel::score_into), and each
+//!   shard worker picks its stripe's top-k from that block.
 //! * **router** ([`ServeTier`], [`TierHandle`]) — a traffic-facing async
 //!   tier: concurrent `top_k`/`scores` submissions land in a bounded queue
 //!   and are coalesced into continuous batches (flushed on size or
 //!   deadline). A full queue rejects with [`ServeError::Overloaded`] —
-//!   typed backpressure, never unbounded buffering.
+//!   typed backpressure, never unbounded buffering. With any shard count
+//!   its answers are bit-identical to the single-engine path.
 //! * **merge** ([`merge_top_k`]) — scatter-gather merge of per-shard
 //!   top-k partials under the total serving order (score descending,
 //!   entity id ascending), equal to the first `k` rows of a full sort,
@@ -37,8 +37,8 @@
 //!
 //! Per-request tracing ([`trace`], [`RequestTrace`]): every admitted
 //! retrieval request is minted a monotonic trace ID and stamped at each
-//! pipeline stage (queue-wait → coalesce → per-shard score → merge →
-//! reply); the completed timeline rides back on the [`TopKResponse`] and
+//! pipeline stage (queue-wait → coalesce → score + per-shard select →
+//! merge → reply); the completed timeline rides back on the [`TopKResponse`] and
 //! is recorded into the `serve.stage.*` histograms, the rolling SLO
 //! window, and the K-slowest exemplar reservoir — all inspectable live
 //! over the `CAME_OBS_ADDR` telemetry endpoint.
@@ -54,7 +54,7 @@ pub use engine::ScoringEngine;
 pub use error::ServeError;
 pub use merge::merge_top_k;
 pub use router::{PendingScores, PendingTopK, ServeTier, TierConfig, TierHandle};
-pub use shard::{ShardPlan, ShardedEngine};
+pub use shard::ShardPlan;
 pub use trace::RequestTrace;
 
 use crate::vocab::{EntityId, RelationId};
@@ -186,7 +186,7 @@ pub struct TopKResponse {
     pub partial: bool,
     /// The request's stage timeline, present when the response came
     /// through the tier with `came-obs` enabled (the single-caller
-    /// [`ScoringEngine`]/[`ShardedEngine`] paths have no queue or merge
-    /// pipeline to attribute and leave this `None`).
+    /// [`ScoringEngine`] path has no queue or merge pipeline to attribute
+    /// and leaves this `None`).
     pub trace: Option<RequestTrace>,
 }

@@ -4,15 +4,17 @@
 //! Concurrent callers submit through a [`TierHandle`] into one bounded
 //! request queue. A router thread coalesces whatever has accumulated into a
 //! continuous batch — flushed when it reaches the serve batch size or when
-//! the oldest request has waited `flush_us` — then scatter-gathers the
-//! batch across shard workers and replies per request. While a batch is
-//! scoring, new arrivals pile up in the queue and form the next batch; a
-//! full queue rejects immediately with [`ServeError::Overloaded`] (typed
-//! backpressure instead of unbounded buffering).
+//! the oldest request has waited `flush_us` — then scores the batch once,
+//! fans top-k selection out across shard workers that each own a column
+//! stripe of the scored block, merges, and replies per request. While a
+//! batch is scoring, new arrivals pile up in the queue and form the next
+//! batch; a full queue rejects immediately with [`ServeError::Overloaded`]
+//! (typed backpressure instead of unbounded buffering).
 //!
-//! Everything is `std`: scoped threads so workers can borrow the model and
-//! store, `sync_channel` for the bounded queue and the depth-1 per-shard
-//! dispatch slots, and per-request reply channels for completion.
+//! Everything is `std`: scoped threads so the router can borrow the model
+//! and store and the workers the filter, `sync_channel` for the bounded
+//! queue and the depth-1 per-shard dispatch slots, and per-request reply
+//! channels for completion.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
@@ -31,25 +33,29 @@ use crate::model::KgeModel;
 use crate::vocab::{EntityId, RelationId};
 
 /// Tier options: shard count, queue bound, flush deadline, plus the
-/// engine-level [`ServeConfig`].
+/// engine-level [`ServeConfig`]. The tier reads no environment; binaries
+/// such as `serve_load` map their knobs (`CAME_SHARDS`, `CAME_SERVE_QUEUE`,
+/// …) onto these fields.
 #[derive(Clone, Debug)]
 pub struct TierConfig {
-    /// Entity-axis shard workers (`CAME_SHARDS`).
+    /// Entity-axis shard workers, each selecting top-k over one column
+    /// stripe of the scored block.
     pub shards: usize,
-    /// Bounded request-queue capacity (`CAME_SERVE_QUEUE`); a full queue
-    /// rejects with [`ServeError::Overloaded`].
+    /// Bounded request-queue capacity; a full queue rejects with
+    /// [`ServeError::Overloaded`].
     pub queue: usize,
     /// Microseconds the oldest queued request may wait before a partial
-    /// batch is flushed (`CAME_SERVE_FLUSH_US`).
+    /// batch is flushed.
     pub flush_us: u64,
-    /// Per-request deadline in microseconds (`CAME_SERVE_DEADLINE_US`):
-    /// a request still queued past this age is shed with
-    /// [`ServeError::DeadlineExceeded`] instead of being scored late.
+    /// Per-request deadline in microseconds: a request still queued past
+    /// this age is shed with [`ServeError::DeadlineExceeded`] instead of
+    /// being scored late.
     /// `None` disables deadline shedding.
     pub deadline_us: Option<u64>,
-    /// Fault injection (`CAME_FAULTS=shard_panic@batch=N`): shard worker 0
-    /// panics once while serving the `N`-th coalesced batch, exercising the
-    /// catch-and-respawn recovery path. `None` disables injection.
+    /// Fault injection (the `shard_panic@batch=N` form of
+    /// [`FaultPlan`](crate::FaultPlan)): shard worker 0 panics once while
+    /// serving the `N`-th coalesced batch, exercising the catch-and-respawn
+    /// recovery path. `None` disables injection.
     pub panic_at_batch: Option<u64>,
     /// Engine-level serving options; `serve.batch_size` is also the
     /// router's maximum coalesced batch.
@@ -66,33 +72,6 @@ impl Default for TierConfig {
             panic_at_batch: None,
             serve: ServeConfig::default(),
         }
-    }
-}
-
-impl TierConfig {
-    /// Defaults overridden by `CAME_SHARDS`, `CAME_SERVE_QUEUE`,
-    /// `CAME_SERVE_FLUSH_US`, `CAME_SERVE_DEADLINE_US` (positive integers),
-    /// the `shard_panic@batch=N` form of `CAME_FAULTS`, and the
-    /// [`ServeConfig::from_env`] knobs.
-    pub fn from_env() -> Self {
-        let mut cfg = TierConfig {
-            serve: ServeConfig::from_env(),
-            ..TierConfig::default()
-        };
-        if let Some(s) = super::env_usize("CAME_SHARDS") {
-            cfg.shards = s;
-        }
-        if let Some(q) = super::env_usize("CAME_SERVE_QUEUE") {
-            cfg.queue = q;
-        }
-        if let Some(us) = super::env_usize("CAME_SERVE_FLUSH_US") {
-            cfg.flush_us = us as u64;
-        }
-        if let Some(us) = super::env_usize("CAME_SERVE_DEADLINE_US") {
-            cfg.deadline_us = Some(us as u64);
-        }
-        cfg.panic_at_batch = crate::runtime::FaultPlan::from_env().shard_panic_at_batch;
-        cfg
     }
 }
 
@@ -269,28 +248,29 @@ impl TierHandle {
 
 /// One coalesced batch's shared work order, read by every shard worker.
 struct BatchPlan<'e> {
-    queries: Vec<(EntityId, RelationId)>,
     ks: Vec<usize>,
     knowns: Vec<Option<&'e [EntityId]>>,
-    /// 1-N models: the pre-scored `[Q, N]` block (shards only select).
-    /// Range-scoring models: `None` — each shard scores its own stripe.
-    full: Option<Vec<f32>>,
+    /// The batch's `[Q, N]` scores, computed once by the router; each
+    /// shard selects over its own column stripe.
+    full: Vec<f32>,
 }
 
 /// One dispatch to a shard worker: the shared plan plus the batch's
 /// gather channel. The reply carries the shard index, the worker's
-/// scoring wall time (for the per-shard trace vector), and `None`
+/// selection wall time (for the per-shard trace vector), and `None`
 /// partials when the worker panicked while serving this task — the router
 /// merges the surviving shards instead.
 struct ShardTask<'e> {
     plan: Arc<BatchPlan<'e>>,
-    /// Fault injection: the worker panics on this task instead of scoring.
+    /// Fault injection: the worker panics on this task instead of
+    /// selecting.
     poison: bool,
     reply: mpsc::Sender<(usize, u64, Option<Vec<Vec<ScoredEntity>>>)>,
 }
 
 /// The serving tier: shard workers + router over a bounded queue, run as a
-/// scoped-thread region so workers borrow the model and store directly.
+/// scoped-thread region so its threads borrow the model, store and filter
+/// directly.
 pub struct ServeTier;
 
 impl ServeTier {
@@ -309,11 +289,16 @@ impl ServeTier {
         f: impl FnOnce(&TierHandle) -> R,
     ) -> Result<R, ServeError> {
         cfg.serve.validate()?;
+        // Serving boundary, as in `ScoringEngine::with_config`: freeze the
+        // model's serving-side structures (e.g. the CAME_EMBED_STORE entity
+        // store) before the first request. Idempotent.
+        model.prepare_serving(store);
         // Expose the tier's registry/SLO/exemplar state over the live
         // telemetry endpoint when `CAME_OBS_ADDR` is configured (no-op,
         // once, otherwise).
         came_obs::telemetry_from_env();
-        let plan = ShardPlan::new(model.num_entities(), cfg.shards)?;
+        let n = model.num_entities();
+        let plan = ShardPlan::new(n, cfg.shards)?;
         let capacity = cfg.queue.max(1);
         let (tx, rx) = mpsc::sync_channel::<Job>(capacity);
         let depth = Arc::new(AtomicUsize::new(0));
@@ -322,7 +307,7 @@ impl ServeTier {
             tx,
             depth: Arc::clone(&depth),
             capacity,
-            num_entities: model.num_entities(),
+            num_entities: n,
             relation_bound: cfg.serve.relation_bound,
         };
         let result = std::thread::scope(|scope| {
@@ -333,7 +318,7 @@ impl ServeTier {
                 // backpressure chain.
                 let (stx, srx) = mpsc::sync_channel::<ShardTask<'_>>(1);
                 shard_txs.push(stx);
-                scope.spawn(move || shard_loop(i, lo, hi, srx, model, store));
+                scope.spawn(move || shard_loop(i, lo, hi, n, srx));
             }
             {
                 let depth = Arc::clone(&depth);
@@ -420,9 +405,10 @@ fn router_loop<'e>(
     }
 }
 
-/// Score one coalesced batch: full rows for score requests, scatter-gather
-/// top-k for retrieval requests. Returns true when the batch was dispatched
-/// to the shard workers (i.e. it contained at least one top-k request).
+/// Score one coalesced batch: full rows for score requests; for retrieval
+/// requests one scored block, shard-parallel selection, then the merge.
+/// Returns true when the batch was dispatched to the shard workers (i.e. it
+/// contained at least one top-k request).
 fn process_batch<'e>(
     batch: Vec<Job>,
     shard_txs: &[mpsc::SyncSender<ShardTask<'e>>],
@@ -506,28 +492,16 @@ fn process_batch<'e>(
         .iter()
         .map(|(r, _, _)| filter.and_then(|f| f.known_tails(r.head, r.relation)))
         .collect();
-    // The score stage starts here: for 1-N models the router itself scores
-    // the full block before the shards select, and that work belongs to
-    // "score", not "coalesce".
+    // The score stage starts here: the router scores the whole block once
+    // before the shards select, and that work belongs to "score", not
+    // "coalesce".
     let traced = topk.iter().any(|(_, t, _)| t.is_some());
     let dispatched_ns = if traced { came_obs::now_ns() } else { 0 };
     let t0 = Instant::now();
-    // 1-N models score the whole block once; shards then only select over
-    // column stripes (splitting a fused forward would repeat its work).
-    let full = if model.supports_range_scoring() && shard_txs.len() > 1 {
-        None
-    } else {
-        let mut flat = vec![0.0f32; queries.len() * n];
-        model.score_into(store, &queries, &mut flat);
-        Some(flat)
-    };
+    let mut full = vec![0.0f32; queries.len() * n];
+    model.score_into(store, &queries, &mut full);
     let nq = queries.len();
-    let plan = Arc::new(BatchPlan {
-        queries,
-        ks,
-        knowns,
-        full,
-    });
+    let plan = Arc::new(BatchPlan { ks, knowns, full });
     let (gather_tx, gather_rx) = mpsc::channel();
     for (si, stx) in shard_txs.iter().enumerate() {
         let task = ShardTask {
@@ -611,28 +585,21 @@ fn process_batch<'e>(
     true
 }
 
-/// One shard worker: receive a batch plan, produce this shard's sorted
-/// top-k partial for every query, send it to the batch's gather channel.
+/// One shard worker: receive a batch plan, select this shard's sorted
+/// top-k partial for every query from its column stripe `lo..hi` of the
+/// scored block, send it to the batch's gather channel. Workers never call
+/// the model.
 ///
 /// A panic while serving one task (injected or real) is caught: the worker
 /// reports the failure to the batch's gather channel (`None`), bumps
 /// `serve.shard{idx}.panics`, and keeps draining its queue — recovery is
 /// staying alive for the next batch, not dying and stalling the router.
-fn shard_loop(
-    idx: usize,
-    lo: usize,
-    hi: usize,
-    rx: mpsc::Receiver<ShardTask<'_>>,
-    model: &(dyn KgeModel + Sync),
-    store: &ParamStore,
-) {
-    let n = model.num_entities();
-    let w = hi - lo;
-    // Satellite: resolve the per-shard metric handles once at spawn — the
-    // hot/panic paths below update leaked `'static` handles with relaxed
-    // RMWs instead of paying `format!` + a registry lock per task. Handles
-    // are resolved unconditionally so flipping observability on mid-run
-    // still reaches pre-registered metrics.
+fn shard_loop(idx: usize, lo: usize, hi: usize, n: usize, rx: mpsc::Receiver<ShardTask<'_>>) {
+    // Resolve the per-shard metric handles once at spawn — the hot/panic
+    // paths below update leaked `'static` handles with relaxed RMWs instead
+    // of paying `format!` + a registry lock per task. Handles are resolved
+    // unconditionally so flipping observability on mid-run still reaches
+    // pre-registered metrics.
     let queue_gauge = came_obs::registry().gauge(&format!("serve.shard{idx}.queue"));
     let panics = came_obs::registry().counter(&format!("serve.shard{idx}.panics"));
     while let Ok(task) = rx.recv() {
@@ -641,31 +608,18 @@ fn shard_loop(
         }
         let plan = &task.plan;
         let t0 = Instant::now();
-        let scored = catch_unwind(AssertUnwindSafe(|| {
+        let selected = catch_unwind(AssertUnwindSafe(|| {
             if task.poison {
                 panic!("injected shard panic (CAME_FAULTS shard_panic@batch)");
             }
-            let nq = plan.queries.len();
-            let stripe: Option<Vec<f32>> = if plan.full.is_none() {
-                let mut buf = vec![0.0f32; nq * w];
-                model.score_range_into(store, &plan.queries, lo, hi, &mut buf);
-                Some(buf)
-            } else {
-                None
-            };
-            (0..nq)
-                .map(|qi| {
-                    let row: &[f32] = match (&stripe, &plan.full) {
-                        (Some(s), _) => &s[qi * w..(qi + 1) * w],
-                        (None, Some(full)) => &full[qi * n + lo..qi * n + hi],
-                        (None, None) => unreachable!("shard task carries stripe or full block"),
-                    };
-                    select_top_k_range(row, lo as u32, plan.ks[qi], plan.knowns[qi])
-                })
+            plan.full
+                .chunks(n)
+                .zip(plan.ks.iter().zip(&plan.knowns))
+                .map(|(row, (&k, &known))| select_top_k_range(&row[lo..hi], lo as u32, k, known))
                 .collect::<Vec<Vec<ScoredEntity>>>()
         }));
         let elapsed_ns = t0.elapsed().as_nanos() as u64;
-        match scored {
+        match selected {
             Ok(partials) => {
                 let _ = task.reply.send((idx, elapsed_ns, Some(partials)));
             }

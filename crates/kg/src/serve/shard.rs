@@ -1,33 +1,16 @@
 //! The shard layer: partition the entity candidate axis into contiguous
-//! per-shard ranges and scatter-gather the results.
+//! per-shard column stripes.
 //!
-//! Two scoring disciplines, one bit-equality story:
-//!
-//! * **per-triple models** ([`KgeModel::supports_range_scoring`] is `true`)
-//!   score their column stripe natively on a worker thread — candidate
-//!   scores are row-local functions of `(h, r, t)`, so a stripe holds the
-//!   exact bytes the full row would.
-//! * **1-N models** compute every candidate inside one fused forward, so
-//!   splitting the forward would cost `S×` redundant compute. The sharded
-//!   engine scores full rows once and fans only the *selection* work out
-//!   across stripes.
-//!
-//! Either way, reassembling stripes reproduces the single-engine `[Q, N]`
-//! buffer byte-for-byte, and per-stripe top-k partials merge (comparisons
-//! only) into the single-engine full-sort prefix — see
+//! Shards never score. The router scores each coalesced batch once into a
+//! full `[Q, N]` block through [`KgeModel::score_into`], whose kernels the
+//! backend pool already parallelises; each shard worker then selects its
+//! stripe's top-k from that shared block, and the per-stripe partials
+//! merge (comparisons only) into the single-engine full-sort prefix — see
 //! [`merge`](super::merge).
+//!
+//! [`KgeModel::score_into`]: crate::model::KgeModel::score_into
 
-use came_tensor::ParamStore;
-
-use super::engine::{eval_triples, record_batch, validate_request};
-use super::merge::{merge_top_k, select_top_k_range};
-use super::{ScoredEntity, ServeConfig, ServeError, TopKRequest, TopKResponse};
-use crate::dataset::{FilterIndex, KgDataset, Split};
-use crate::eval::{self, EvalConfig};
-use crate::metrics::RankMetrics;
-use crate::model::KgeModel;
-use crate::triple::Triple;
-use crate::vocab::{EntityId, RelationId};
+use super::ServeError;
 
 /// A balanced contiguous partition of the candidate axis `0..num_entities`
 /// into at most `shards` non-empty ranges (fewer when there are fewer
@@ -74,280 +57,5 @@ impl ShardPlan {
     /// The partitioned entity count.
     pub fn num_entities(&self) -> usize {
         self.num_entities
-    }
-}
-
-/// A [`ScoringEngine`](super::ScoringEngine) over a [`ShardPlan`]: the same
-/// request surface, with scoring/selection scatter-gathered across shard
-/// threads and results bit-identical to the single-engine path.
-pub struct ShardedEngine<'a> {
-    model: &'a (dyn KgeModel + Sync),
-    store: &'a ParamStore,
-    cfg: ServeConfig,
-    plan: ShardPlan,
-}
-
-impl<'a> ShardedEngine<'a> {
-    /// Sharded engine with environment-derived configuration: shard count
-    /// from `CAME_SHARDS` (default 1), serving knobs from
-    /// [`ServeConfig::from_env`].
-    pub fn new(
-        model: &'a (dyn KgeModel + Sync),
-        store: &'a ParamStore,
-    ) -> Result<Self, ServeError> {
-        let shards = super::env_usize("CAME_SHARDS").unwrap_or(1);
-        ShardedEngine::with_config(model, store, shards, ServeConfig::from_env())
-    }
-
-    /// Sharded engine with an explicit shard count and configuration.
-    pub fn with_config(
-        model: &'a (dyn KgeModel + Sync),
-        store: &'a ParamStore,
-        shards: usize,
-        cfg: ServeConfig,
-    ) -> Result<Self, ServeError> {
-        cfg.validate()?;
-        let plan = ShardPlan::new(model.num_entities(), shards)?;
-        // Serving boundary: freeze the model's serving-side structures (e.g.
-        // the CAME_EMBED_STORE entity store) before the first request.
-        model.prepare_serving(store);
-        Ok(ShardedEngine {
-            model,
-            store,
-            cfg,
-            plan,
-        })
-    }
-
-    /// The shard plan in effect.
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &ServeConfig {
-        &self.cfg
-    }
-
-    /// Candidate entities per query.
-    pub fn num_entities(&self) -> usize {
-        self.model.num_entities()
-    }
-
-    /// Score `queries` into the row-major `[queries.len(), N]` buffer `out`,
-    /// bit-identical to the single-engine path: range-scoring models compute
-    /// per-shard stripes on worker threads which are reassembled column-wise;
-    /// 1-N models run their one fused forward directly (splitting it would
-    /// only repeat work). Records the same serve metrics as the engine.
-    pub fn score_into(&self, queries: &[(EntityId, RelationId)], out: &mut [f32]) {
-        if !came_obs::enabled() {
-            self.score_block(queries, out);
-            return;
-        }
-        let t0 = std::time::Instant::now();
-        self.score_block(queries, out);
-        record_batch(queries.len(), t0.elapsed().as_nanos() as u64);
-    }
-
-    fn score_block(&self, queries: &[(EntityId, RelationId)], out: &mut [f32]) {
-        let n = self.num_entities();
-        assert_eq!(out.len(), queries.len() * n, "score buffer size mismatch");
-        if queries.is_empty() {
-            return;
-        }
-        if self.plan.num_shards() == 1 || !self.model.supports_range_scoring() {
-            self.model.score_into(self.store, queries, out);
-            return;
-        }
-        let stripes = self.score_stripes(queries);
-        for (s, &(lo, hi)) in self.plan.ranges().iter().enumerate() {
-            let w = hi - lo;
-            for (qi, row) in out.chunks_mut(n).enumerate() {
-                row[lo..hi].copy_from_slice(&stripes[s][qi * w..(qi + 1) * w]);
-            }
-        }
-    }
-
-    /// Score every query against each shard's stripe on its own thread:
-    /// `stripes[s]` is the row-major `[Q, hi - lo]` block for shard `s`.
-    fn score_stripes(&self, queries: &[(EntityId, RelationId)]) -> Vec<Vec<f32>> {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .plan
-                .ranges()
-                .iter()
-                .map(|&(lo, hi)| {
-                    scope.spawn(move || {
-                        let mut buf = vec![0.0f32; queries.len() * (hi - lo)];
-                        self.model
-                            .score_range_into(self.store, queries, lo, hi, &mut buf);
-                        buf
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-    }
-
-    /// Full filtered-ranking evaluation, bit-equal to
-    /// [`ScoringEngine::evaluate`](super::ScoringEngine::evaluate): the
-    /// sharded path reassembles the exact `[Q, N]` score buffer and feeds
-    /// the same rank core over the same triple sequence.
-    pub fn evaluate(
-        &self,
-        dataset: &KgDataset,
-        split: Split,
-        filter: &FilterIndex,
-        cfg: &EvalConfig,
-    ) -> RankMetrics {
-        let triples = eval_triples(dataset, split, cfg);
-        self.rank_triples(&triples, filter, cfg.batch_size)
-    }
-
-    /// Rank an explicit triple list through the sharded scoring path.
-    pub fn rank_triples(
-        &self,
-        triples: &[Triple],
-        filter: &FilterIndex,
-        batch_size: usize,
-    ) -> RankMetrics {
-        let n = self.num_entities();
-        let batch = if batch_size > 0 {
-            batch_size
-        } else {
-            self.cfg.batch_size
-        };
-        let mut flat = vec![0.0f32; batch * n];
-        let mut metrics = RankMetrics::new();
-        for chunk in triples.chunks(batch) {
-            let queries: Vec<(EntityId, RelationId)> = chunk.iter().map(|t| (t.h, t.r)).collect();
-            let block = &mut flat[..chunk.len() * n];
-            self.score_into(&queries, block);
-            let mut ranks = vec![0.0f64; chunk.len()];
-            let rows: Vec<(&Triple, &[f32], &mut f64)> = chunk
-                .iter()
-                .zip(block.chunks(n))
-                .zip(ranks.iter_mut())
-                .map(|((t, s), slot)| (t, s, slot))
-                .collect();
-            eval::rank_block(rows, filter);
-            for r in ranks {
-                metrics.push(r);
-            }
-        }
-        metrics
-    }
-
-    /// Answer one retrieval request through the sharded path.
-    pub fn top_k(
-        &self,
-        req: TopKRequest,
-        filter: Option<&FilterIndex>,
-    ) -> Result<TopKResponse, ServeError> {
-        self.top_k_batch(std::slice::from_ref(&req), filter)?
-            .pop()
-            .ok_or(ServeError::ShutDown)
-    }
-
-    /// Answer a batch of retrieval requests: each shard produces sorted
-    /// top-k partials over its stripe, merged per query into the global
-    /// top-k — bit-identical (ties included) to the single-engine full-sort
-    /// prefix. Admission and `k > N` clamping match
-    /// [`ScoringEngine::top_k_batch`](super::ScoringEngine::top_k_batch).
-    pub fn top_k_batch(
-        &self,
-        reqs: &[TopKRequest],
-        filter: Option<&FilterIndex>,
-    ) -> Result<Vec<TopKResponse>, ServeError> {
-        let n = self.num_entities();
-        for req in reqs {
-            validate_request(req, n, self.cfg.relation_bound)?;
-        }
-        let mut out = Vec::with_capacity(reqs.len());
-        for chunk in reqs.chunks(self.cfg.batch_size) {
-            let queries: Vec<(EntityId, RelationId)> =
-                chunk.iter().map(|r| (r.head, r.relation)).collect();
-            let ks: Vec<usize> = chunk
-                .iter()
-                .map(|r| r.k.unwrap_or(self.cfg.default_k).min(n))
-                .collect();
-            let knowns: Vec<Option<&[EntityId]>> = chunk
-                .iter()
-                .map(|r| filter.and_then(|f| f.known_tails(r.head, r.relation)))
-                .collect();
-            // partials[q][s]: shard s's sorted top-k over its stripe of
-            // query q's row.
-            let partials = self.select_partials(&queries, &ks, &knowns);
-            for ((req, k), shard_lists) in chunk.iter().zip(&ks).zip(partials) {
-                out.push(TopKResponse {
-                    head: req.head,
-                    relation: req.relation,
-                    hits: merge_top_k(&shard_lists, *k),
-                    degraded: self.model.degraded(req.head.0),
-                    partial: false,
-                    trace: None,
-                });
-            }
-        }
-        Ok(out)
-    }
-
-    /// Scatter: score + select per shard, each on its own worker thread.
-    /// Returns per-query, per-shard sorted partials ready for the merge.
-    fn select_partials(
-        &self,
-        queries: &[(EntityId, RelationId)],
-        ks: &[usize],
-        knowns: &[Option<&[EntityId]>],
-    ) -> Vec<Vec<Vec<ScoredEntity>>> {
-        let n = self.num_entities();
-        let ranged = self.model.supports_range_scoring() && self.plan.num_shards() > 1;
-        // 1-N models: one fused forward for the whole block, shards then
-        // select over column stripes of the shared buffer.
-        let full = if ranged {
-            Vec::new()
-        } else {
-            let mut buf = vec![0.0f32; queries.len() * n];
-            self.score_into(queries, &mut buf);
-            buf
-        };
-        let full = &full;
-        let per_shard: Vec<Vec<Vec<ScoredEntity>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .plan
-                .ranges()
-                .iter()
-                .map(|&(lo, hi)| {
-                    scope.spawn(move || {
-                        let w = hi - lo;
-                        let stripe;
-                        let rows: &[f32] = if ranged {
-                            let mut buf = vec![0.0f32; queries.len() * w];
-                            self.model
-                                .score_range_into(self.store, queries, lo, hi, &mut buf);
-                            stripe = buf;
-                            &stripe
-                        } else {
-                            full
-                        };
-                        (0..queries.len())
-                            .map(|qi| {
-                                let row = if ranged {
-                                    &rows[qi * w..(qi + 1) * w]
-                                } else {
-                                    &rows[qi * n + lo..qi * n + hi]
-                                };
-                                select_top_k_range(row, lo as u32, ks[qi], knowns[qi])
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        // Transpose shard-major -> query-major for the per-query merge.
-        (0..queries.len())
-            .map(|qi| per_shard.iter().map(|s| s[qi].clone()).collect())
-            .collect()
     }
 }

@@ -16,8 +16,9 @@
 //!   picked it up.
 //! * **coalesce** — waiting in the router's continuous-batching window for
 //!   the batch to fill or the flush deadline to pass.
-//! * **score** — the scatter-gather scoring pass; batch-scoped, with the
-//!   per-shard scoring durations kept as a vector (`shard_ns`) so one
+//! * **score** — the router's one scoring pass over the batch plus the
+//!   shards' top-k selection over their column stripes; batch-scoped, with
+//!   each shard's select-only duration kept as a vector (`shard_ns`) so one
 //!   straggler shard is visible, not averaged away.
 //! * **merge** — top-k merge of the shard partials (includes any wait for
 //!   earlier requests of the same batch to merge first).
@@ -85,8 +86,11 @@ pub struct RequestTrace {
     /// Response received by the caller (stamped in `wait()`; 0 until
     /// then).
     pub completed_ns: u64,
-    /// Per-shard scoring duration (ns), indexed by shard; 0 marks a shard
-    /// that failed this batch. Shared by every request of the batch.
+    /// Per-shard top-k selection duration (ns), indexed by shard; 0 marks
+    /// a shard that failed this batch. Select-only time for every model:
+    /// the router scored the batch before the shards ran, so its scoring
+    /// time is roughly `score_ns` minus the slowest shard. Shared by every
+    /// request of the batch.
     pub shard_ns: Arc<[u64]>,
     /// Requests coalesced into the batch that scored this request.
     pub batch_size: usize,
@@ -127,7 +131,7 @@ impl RequestTrace {
         self.completed_ns.saturating_sub(self.admitted_ns)
     }
 
-    /// The slowest shard's scoring duration (0 when unsharded).
+    /// The slowest shard's selection duration.
     pub fn slowest_shard_ns(&self) -> u64 {
         self.shard_ns.iter().copied().max().unwrap_or(0)
     }

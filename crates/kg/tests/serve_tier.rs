@@ -1,20 +1,20 @@
 //! End-to-end guarantees of the sharded serving tier: shard plans partition
-//! the candidate axis exactly, the scatter-gather top-k merge is
+//! the candidate axis exactly, the router prepares the model and scores each
+//! batch once whatever the shard count, the scatter-gather top-k merge is
 //! bit-identical to the single-engine full-sort prefix (tie runs straddling
-//! shard boundaries included), sharded evaluation reproduces single-engine
-//! metrics bit for bit, admission control rejects bad requests and overload
-//! with typed errors, and the router's events land in the JSONL sink.
+//! shard boundaries included), admission control rejects bad requests and
+//! overload with typed errors, and the router's events land in the JSONL
+//! sink.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
 use std::time::Duration;
 
 use came_kg::triple::Triple;
 use came_kg::{
-    EntityId, EntityKind, EvalConfig, KgDataset, KgeModel, RelationId, ScoringEngine, ServeConfig,
-    ServeError, ServeTier, ShardPlan, ShardedEngine, Split, TierConfig, TopKRequest, TopKResponse,
-    Vocab,
+    EntityId, EntityKind, KgDataset, KgeModel, RelationId, ScoringEngine, ServeConfig, ServeError,
+    ServeTier, ShardPlan, TierConfig, TopKRequest, TopKResponse, Vocab,
 };
 use came_obs::json;
 use came_tensor::{ParamStore, Prng};
@@ -30,8 +30,7 @@ fn hash_score(h: u32, r: u32, t: usize) -> f32 {
     (x % 7) as f32
 }
 
-/// 1-N-style model: no native range scoring (the tier scores full rows once
-/// and shards only the selection work).
+/// Tie-heavy model over `n` candidates.
 struct HashModel {
     n: usize,
 }
@@ -59,51 +58,38 @@ impl KgeModel for HashModel {
     }
 }
 
-/// Per-triple-style model: scores candidate ranges natively (each shard
-/// computes its own stripe), same scores as [`HashModel`].
-struct RangedHashModel {
-    n: usize,
-    range_calls: AtomicUsize,
+/// [`HashModel`] that must be prepared for serving before it scores, and
+/// counts its `score_into` calls.
+struct ProbeModel {
+    inner: HashModel,
+    prepared: AtomicBool,
+    calls: AtomicUsize,
 }
 
-impl RangedHashModel {
+impl ProbeModel {
     fn new(n: usize) -> Self {
-        RangedHashModel {
-            n,
-            range_calls: AtomicUsize::new(0),
+        ProbeModel {
+            inner: HashModel { n },
+            prepared: AtomicBool::new(false),
+            calls: AtomicUsize::new(0),
         }
     }
 }
 
-impl KgeModel for RangedHashModel {
+impl KgeModel for ProbeModel {
     fn name(&self) -> &str {
-        "hash-ranged"
+        "probe"
     }
     fn num_entities(&self) -> usize {
-        self.n
+        self.inner.n
     }
     fn score_into(&self, store: &ParamStore, queries: &[(EntityId, RelationId)], out: &mut [f32]) {
-        self.score_range_into(store, queries, 0, self.n, out);
+        assert!(self.prepared.load(Relaxed), "scored before prepare_serving");
+        self.calls.fetch_add(1, Relaxed);
+        self.inner.score_into(store, queries, out);
     }
-    fn supports_range_scoring(&self) -> bool {
-        true
-    }
-    fn score_range_into(
-        &self,
-        _store: &ParamStore,
-        queries: &[(EntityId, RelationId)],
-        lo: usize,
-        hi: usize,
-        out: &mut [f32],
-    ) {
-        self.range_calls.fetch_add(1, Relaxed);
-        let w = hi - lo;
-        assert_eq!(out.len(), queries.len() * w);
-        for (q, row) in queries.iter().zip(out.chunks_mut(w)) {
-            for (c, slot) in row.iter_mut().enumerate() {
-                *slot = hash_score(q.0 .0, q.1 .0, lo + c);
-            }
-        }
+    fn prepare_serving(&self, _store: &ParamStore) {
+        self.prepared.store(true, Relaxed);
     }
     fn state_bytes(&self) -> Vec<u8> {
         Vec::new()
@@ -212,39 +198,80 @@ fn shard_plan_is_balanced_contiguous_and_exact() {
 }
 
 #[test]
-fn sharded_top_k_is_bit_identical_to_single_engine_for_both_disciplines() {
+fn tier_prepares_the_model_for_serving_before_scoring() {
+    let model = ProbeModel::new(16);
+    let store = ParamStore::new();
+    ServeTier::run(&model, &store, None, TierConfig::default(), |handle| {
+        let resp = handle
+            .top_k(TopKRequest::with_k(EntityId(1), RelationId(0), 3))
+            .unwrap();
+        assert_eq!(resp.hits.len(), 3);
+        assert_eq!(
+            handle.scores((EntityId(2), RelationId(1))).unwrap().len(),
+            16
+        );
+    })
+    .unwrap();
+}
+
+#[test]
+fn tier_scores_each_batch_once_whatever_the_shard_count() {
+    let store = ParamStore::new();
+    for shards in [1usize, 2, 3, 7] {
+        let model = ProbeModel::new(29);
+        let cfg = TierConfig {
+            shards,
+            flush_us: 100,
+            ..TierConfig::default()
+        };
+        // One client waiting on each answer: every request is its own batch.
+        ServeTier::run(&model, &store, None, cfg, |handle| {
+            for i in 0..5u32 {
+                handle
+                    .top_k(TopKRequest::with_k(EntityId(i), RelationId(0), 4))
+                    .unwrap();
+            }
+        })
+        .unwrap();
+        assert_eq!(model.calls.load(Relaxed), 5, "shards={shards}");
+    }
+}
+
+#[test]
+fn tier_top_k_is_bit_identical_to_single_engine_at_every_shard_count() {
     let n = 53usize;
     let store = ParamStore::new();
-    let one_n = HashModel { n };
-    let ranged = RangedHashModel::new(n);
-    let models: [&(dyn KgeModel + Sync); 2] = [&one_n, &ranged];
-    for model in models {
-        let single = ScoringEngine::with_config(model, &store, ServeConfig::default()).unwrap();
-        for shards in [1usize, 2, 3, 7] {
-            let sharded =
-                ShardedEngine::with_config(model, &store, shards, ServeConfig::default()).unwrap();
-            for k in [1usize, 3, 10, n, n + 40] {
-                let reqs = reqs_for(n as u32, 9, k);
-                let want = single.top_k_batch(&reqs, None).unwrap();
-                let got = sharded.top_k_batch(&reqs, None).unwrap();
-                assert_eq!(want.len(), got.len());
-                for (w, g) in want.iter().zip(&got) {
+    let model = HashModel { n };
+    let single = ScoringEngine::with_config(&model, &store, ServeConfig::default()).unwrap();
+    let ks = [1usize, 3, 10, n, n + 40];
+    let want: Vec<Vec<TopKResponse>> = ks
+        .iter()
+        .map(|&k| single.top_k_batch(&reqs_for(n as u32, 9, k), None).unwrap())
+        .collect();
+    for shards in [1usize, 2, 3, 7] {
+        let cfg = TierConfig {
+            shards,
+            flush_us: 100,
+            ..TierConfig::default()
+        };
+        ServeTier::run(&model, &store, None, cfg, |handle| {
+            for (&k, want) in ks.iter().zip(&want) {
+                let pending: Vec<_> = reqs_for(n as u32, 9, k)
+                    .into_iter()
+                    .map(|req| handle.submit(req).unwrap())
+                    .collect();
+                for (w, p) in want.iter().zip(pending) {
+                    let g = p.wait().unwrap();
                     assert_eq!(
-                        w.hits,
-                        g.hits,
-                        "{} shards={shards} k={k} h={} r={}",
-                        model.name(),
-                        w.head.0,
-                        w.relation.0
+                        w.hits, g.hits,
+                        "shards={shards} k={k} h={} r={}",
+                        w.head.0, w.relation.0
                     );
                 }
             }
-        }
+        })
+        .unwrap();
     }
-    assert!(
-        ranged.range_calls.load(Relaxed) > 0,
-        "ranged model must have scored stripes natively"
-    );
 }
 
 #[test]
@@ -254,91 +281,28 @@ fn tie_runs_straddling_shard_boundaries_merge_in_id_order() {
     // one big tie run.
     let model = ConstModel { n: 23 };
     let store = ParamStore::new();
-    let sharded = ShardedEngine::with_config(&model, &store, 5, ServeConfig::default()).unwrap();
-    for k in [1usize, 4, 5, 6, 11, 23] {
-        let resp = sharded
-            .top_k(TopKRequest::with_k(EntityId(0), RelationId(0), k), None)
-            .unwrap();
-        let want: Vec<u32> = (0..k as u32).collect();
-        assert_eq!(ids(&resp), want, "k={k}");
-    }
-}
-
-#[test]
-fn sharded_evaluate_is_bit_equal_to_single_engine() {
-    let d = toy_dataset(41, 120);
-    let filter = d.filter_index();
-    let store = ParamStore::new();
-    let cfg = EvalConfig {
-        batch_size: 16,
-        ..Default::default()
+    let cfg = TierConfig {
+        shards: 5,
+        flush_us: 100,
+        ..TierConfig::default()
     };
-    let one_n = HashModel {
-        n: d.num_entities(),
-    };
-    let ranged = RangedHashModel::new(d.num_entities());
-    let models: [&(dyn KgeModel + Sync); 2] = [&one_n, &ranged];
-    for model in models {
-        let single = ScoringEngine::with_config(model, &store, ServeConfig::default()).unwrap();
-        let want = single.evaluate(&d, Split::Test, &filter, &cfg);
-        for shards in [2usize, 5] {
-            let sharded =
-                ShardedEngine::with_config(model, &store, shards, ServeConfig::default()).unwrap();
-            let got = sharded.evaluate(&d, Split::Test, &filter, &cfg);
-            assert_eq!(want.count(), got.count(), "{}", model.name());
-            assert_eq!(want.mrr(), got.mrr(), "{} MRR", model.name());
-            assert_eq!(want.mr(), got.mr(), "{} MR", model.name());
-            for k in [1, 3, 10] {
-                assert_eq!(want.hits(k), got.hits(k), "{} Hits@{k}", model.name());
-            }
+    ServeTier::run(&model, &store, None, cfg, |handle| {
+        for k in [1usize, 4, 5, 6, 11, 23] {
+            let resp = handle
+                .top_k(TopKRequest::with_k(EntityId(0), RelationId(0), k))
+                .unwrap();
+            let want: Vec<u32> = (0..k as u32).collect();
+            assert_eq!(ids(&resp), want, "k={k}");
         }
-    }
-}
-
-#[test]
-fn sharded_engine_validates_and_clamps_like_the_engine() {
-    let model = HashModel { n: 20 };
-    let store = ParamStore::new();
-    let cfg = ServeConfig::default().with_relation_bound(4);
-    let sharded = ShardedEngine::with_config(&model, &store, 3, cfg).unwrap();
-
-    // k > N clamps to N.
-    let resp = sharded
-        .top_k(TopKRequest::with_k(EntityId(0), RelationId(0), 500), None)
-        .unwrap();
-    assert_eq!(resp.hits.len(), 20);
-
-    assert_eq!(
-        sharded
-            .top_k(TopKRequest::new(EntityId(20), RelationId(0)), None)
-            .err(),
-        Some(ServeError::EntityOutOfRange {
-            entity: EntityId(20),
-            num_entities: 20,
-        })
-    );
-    assert_eq!(
-        sharded
-            .top_k(TopKRequest::new(EntityId(0), RelationId(9)), None)
-            .err(),
-        Some(ServeError::RelationOutOfRange {
-            relation: RelationId(9),
-            num_relations: 4,
-        })
-    );
-    assert_eq!(
-        sharded
-            .top_k(TopKRequest::with_k(EntityId(0), RelationId(0), 0), None)
-            .err(),
-        Some(ServeError::ZeroK)
-    );
+    })
+    .unwrap();
 }
 
 #[test]
 fn tier_answers_match_the_single_engine_under_concurrent_clients() {
     let n = 37usize;
     let store = ParamStore::new();
-    let model = RangedHashModel::new(n);
+    let model = HashModel { n };
     let d = toy_dataset(n, 90);
     let filter = d.filter_index();
     let single = ScoringEngine::with_config(&model, &store, ServeConfig::default()).unwrap();
@@ -431,51 +395,54 @@ fn tier_rejects_overload_with_typed_backpressure() {
 fn tier_validates_at_admission_and_fails_escaped_handles() {
     let model = HashModel { n: 16 };
     let store = ParamStore::new();
-    let cfg = TierConfig {
-        serve: ServeConfig::default().with_relation_bound(4),
-        ..TierConfig::default()
-    };
-    let escaped = ServeTier::run(&model, &store, None, cfg, |handle| {
+    for shards in [1usize, 3] {
+        let cfg = TierConfig {
+            shards,
+            serve: ServeConfig::default().with_relation_bound(4),
+            ..TierConfig::default()
+        };
+        let escaped = ServeTier::run(&model, &store, None, cfg, |handle| {
+            assert_eq!(
+                handle
+                    .top_k(TopKRequest::new(EntityId(99), RelationId(0)))
+                    .err(),
+                Some(ServeError::EntityOutOfRange {
+                    entity: EntityId(99),
+                    num_entities: 16,
+                })
+            );
+            assert_eq!(
+                handle
+                    .top_k(TopKRequest::new(EntityId(0), RelationId(7)))
+                    .err(),
+                Some(ServeError::RelationOutOfRange {
+                    relation: RelationId(7),
+                    num_relations: 4,
+                })
+            );
+            assert_eq!(
+                handle
+                    .top_k(TopKRequest::with_k(EntityId(0), RelationId(0), 0))
+                    .err(),
+                Some(ServeError::ZeroK)
+            );
+            // k > N clamps through the tier too, at any shard count.
+            let resp = handle
+                .top_k(TopKRequest::with_k(EntityId(0), RelationId(0), 1000))
+                .unwrap();
+            assert_eq!(resp.hits.len(), 16);
+            handle.clone()
+        })
+        .unwrap();
+        // The tier is torn down when the closure returns; an escaped handle
+        // degrades to typed shutdown errors instead of hanging.
         assert_eq!(
-            handle
-                .top_k(TopKRequest::new(EntityId(99), RelationId(0)))
+            escaped
+                .top_k(TopKRequest::new(EntityId(0), RelationId(0)))
                 .err(),
-            Some(ServeError::EntityOutOfRange {
-                entity: EntityId(99),
-                num_entities: 16,
-            })
+            Some(ServeError::ShutDown)
         );
-        assert_eq!(
-            handle
-                .top_k(TopKRequest::new(EntityId(0), RelationId(7)))
-                .err(),
-            Some(ServeError::RelationOutOfRange {
-                relation: RelationId(7),
-                num_relations: 4,
-            })
-        );
-        assert_eq!(
-            handle
-                .top_k(TopKRequest::with_k(EntityId(0), RelationId(0), 0))
-                .err(),
-            Some(ServeError::ZeroK)
-        );
-        // k > N clamps through the tier too.
-        let resp = handle
-            .top_k(TopKRequest::with_k(EntityId(0), RelationId(0), 1000))
-            .unwrap();
-        assert_eq!(resp.hits.len(), 16);
-        handle.clone()
-    })
-    .unwrap();
-    // The tier is torn down when the closure returns; an escaped handle
-    // degrades to typed shutdown errors instead of hanging.
-    assert_eq!(
-        escaped
-            .top_k(TopKRequest::new(EntityId(0), RelationId(0)))
-            .err(),
-        Some(ServeError::ShutDown)
-    );
+    }
 }
 
 /// [`HashModel`] scores with a degraded-head predicate: odd entities are
@@ -550,50 +517,44 @@ fn stale_queued_requests_are_shed_with_a_typed_deadline_error() {
 fn injected_shard_panic_yields_partial_responses_and_the_tier_recovers() {
     let n = 24usize;
     let store = ParamStore::new();
-    let one_n = HashModel { n };
-    let ranged = RangedHashModel::new(n);
-    let models: [&(dyn KgeModel + Sync); 2] = [&one_n, &ranged];
-    for model in models {
-        let cfg = TierConfig {
-            shards: 2,
-            flush_us: 100,
-            panic_at_batch: Some(1),
-            ..TierConfig::default()
-        };
-        ServeTier::run(model, &store, None, cfg, |handle| {
-            // Batch 1: shard 0 (entities 0..12) panics. The response is
-            // merged from shard 1 only and tagged partial.
-            let resp = handle
-                .top_k(TopKRequest::with_k(EntityId(0), RelationId(0), n))
-                .unwrap();
-            assert!(resp.partial, "{}: batch 1 must be partial", model.name());
-            assert_eq!(resp.hits.len(), n / 2, "{}", model.name());
-            assert!(
-                resp.hits.iter().all(|s| s.entity.0 >= (n / 2) as u32),
-                "{}: hits must come from the surviving shard only",
-                model.name()
-            );
+    let model = HashModel { n };
+    let cfg = TierConfig {
+        shards: 2,
+        flush_us: 100,
+        panic_at_batch: Some(1),
+        ..TierConfig::default()
+    };
+    ServeTier::run(&model, &store, None, cfg, |handle| {
+        // Batch 1: shard 0 (entities 0..12) panics. The response is merged
+        // from shard 1 only and tagged partial.
+        let resp = handle
+            .top_k(TopKRequest::with_k(EntityId(0), RelationId(0), n))
+            .unwrap();
+        assert!(resp.partial, "batch 1 must be partial");
+        assert_eq!(resp.hits.len(), n / 2);
+        assert!(
+            resp.hits.iter().all(|s| s.entity.0 >= (n / 2) as u32),
+            "hits must come from the surviving shard only"
+        );
 
-            // Batch 2: the worker caught the panic and kept draining its
-            // queue — full coverage is back, bit-identical to a single
-            // engine.
-            let resp = handle
-                .top_k(TopKRequest::with_k(EntityId(0), RelationId(0), n))
-                .unwrap();
-            assert!(!resp.partial, "{}: batch 2 must be full", model.name());
-            assert_eq!(resp.hits.len(), n, "{}", model.name());
-            let single = ScoringEngine::with_config(model, &store, ServeConfig::default()).unwrap();
-            let want = single
-                .top_k(TopKRequest::with_k(EntityId(0), RelationId(0), n), None)
-                .unwrap();
-            assert_eq!(resp.hits, want.hits, "{}", model.name());
-        })
-        .unwrap();
-    }
+        // Batch 2: the worker caught the panic and kept draining its queue —
+        // full coverage is back, bit-identical to a single engine.
+        let resp = handle
+            .top_k(TopKRequest::with_k(EntityId(0), RelationId(0), n))
+            .unwrap();
+        assert!(!resp.partial, "batch 2 must be full");
+        assert_eq!(resp.hits.len(), n);
+        let single = ScoringEngine::with_config(&model, &store, ServeConfig::default()).unwrap();
+        let want = single
+            .top_k(TopKRequest::with_k(EntityId(0), RelationId(0), n), None)
+            .unwrap();
+        assert_eq!(resp.hits, want.hits);
+    })
+    .unwrap();
 }
 
 #[test]
-fn degraded_heads_are_tagged_through_engine_shards_and_tier() {
+fn degraded_heads_are_tagged_through_engine_and_sharded_tier() {
     let n = 16usize;
     let model = DegradedHashModel {
         inner: HashModel { n },
@@ -608,20 +569,18 @@ fn degraded_heads_are_tagged_through_engine_shards_and_tier() {
     let resp = single.top_k_batch(&reqs, None).unwrap();
     assert!(!resp[0].degraded && resp[1].degraded);
 
-    let sharded = ShardedEngine::with_config(&model, &store, 3, ServeConfig::default()).unwrap();
-    let resp = sharded.top_k_batch(&reqs, None).unwrap();
-    assert!(!resp[0].degraded && resp[1].degraded);
-
-    let cfg = TierConfig {
-        shards: 2,
-        flush_us: 100,
-        ..TierConfig::default()
-    };
-    ServeTier::run(&model, &store, None, cfg, |handle| {
-        assert!(!handle.top_k(reqs[0]).unwrap().degraded);
-        assert!(handle.top_k(reqs[1]).unwrap().degraded);
-    })
-    .unwrap();
+    for shards in [2usize, 3] {
+        let cfg = TierConfig {
+            shards,
+            flush_us: 100,
+            ..TierConfig::default()
+        };
+        ServeTier::run(&model, &store, None, cfg, |handle| {
+            assert!(!handle.top_k(reqs[0]).unwrap().degraded, "shards={shards}");
+            assert!(handle.top_k(reqs[1]).unwrap().degraded, "shards={shards}");
+        })
+        .unwrap();
+    }
 }
 
 fn scratch(tag: &str) -> PathBuf {

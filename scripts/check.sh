@@ -27,10 +27,11 @@ CAME_QUICK=1 CAME_CHECK_INFER=1 CAME_CHECK_OBS=1 CAME_CHECK_SIMD=1 CAME_CHECK_QU
     cargo run --release -q -p came-bench --bin micro
 
 # Serving gate: the sharded tier must reproduce the single-engine path bit
-# for bit (top-k ties included, eval metrics), sustain the throughput floor,
-# and hold the p99 latency SLO under an open-loop load. CAME_SHARDS=4
-# exercises the scatter-gather merge even on small hosts; the report goes to
-# a scratch path so the committed full-scale BENCH_serve.json stays put.
+# for bit (top-k hits with ties included, and full score rows), sustain the
+# throughput floor, and hold the p99 latency SLO under an open-loop load.
+# CAME_SHARDS=4 exercises the scatter-gather merge even on small hosts; the
+# report goes to a scratch path so the committed full-scale BENCH_serve.json
+# stays put.
 # Trace gate (serving side): every completed response must carry a complete
 # monotone stage timeline, the tail-cohort stage decomposition must account
 # for the e2e p99, and the live telemetry endpoint must answer /metrics and
