@@ -1,13 +1,10 @@
 //! End-to-end guarantees of the compact embedding store behind serving:
 //! the default f32 path is literally the pre-store code (bit-identical),
 //! quantized heads rank-correlate with f32 within the `CAME_CHECK_QUANT`
-//! thresholds, the file-backed store serves beyond its cache budget with
-//! scores bitwise equal to the resident quantized store, the sharded tier
-//! stays bitwise equal to the single engine under q8, degraded
-//! (partial-modality) serving is layout-independent, and quantized stores
-//! round-trip through version-2 checkpoints bit-identically.
-
-use std::sync::Mutex;
+//! thresholds, the sharded tier stays bitwise equal to the single engine
+//! under q8, degraded (partial-modality) serving is layout-independent, and
+//! quantized stores round-trip through version-2 checkpoints
+//! bit-identically.
 
 use came::CamE;
 use came_bench::{came_config_drkg, came_kge, train_came};
@@ -19,9 +16,6 @@ use came_kg::{
     KgeModel, OneToNModel, RelationId, ScoringEngine, ServeTier, TierConfig, TopKRequest,
 };
 use came_tensor::{ParamStore, StoreKind};
-
-// Serialises the tests that set process-global environment knobs.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 fn features_for(bkg: &MultimodalBkg) -> ModalFeatures {
     ModalFeatures::build(
@@ -105,41 +99,6 @@ fn q8_head_rank_correlates_with_the_dense_f32_path() {
 }
 
 #[test]
-fn file_store_serves_beyond_its_cache_budget_bitwise_like_q8() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (bkg, _f, model, store) = trained_tiny();
-    let kge = came_kge(&model, &bkg.dataset);
-    let queries = query_batch(&bkg, 16);
-
-    model.freeze_entity_store(&store, StoreKind::Q8).unwrap();
-    let q8 = score_all(&kge, &store, &queries);
-
-    // Cache budget far below the entity count: most rows stream from disk.
-    std::env::set_var("CAME_EMBED_CACHE_ROWS", "16");
-    let froze = model.freeze_entity_store(&store, StoreKind::File);
-    std::env::remove_var("CAME_EMBED_CACHE_ROWS");
-    froze.unwrap();
-
-    let file = score_all(&kge, &store, &queries);
-    assert_eq!(
-        q8, file,
-        "file-backed scores must match resident q8 bitwise"
-    );
-
-    let head = OneToNModel::entity_head(&model).expect("file head active");
-    let (hits, misses) = head.store().cache_stats().expect("file store has stats");
-    assert!(
-        misses > 0,
-        "a 16-row cache over {} entities must miss (hits {hits})",
-        bkg.dataset.num_entities()
-    );
-    assert!(
-        head.store().resident_bytes() < bkg.dataset.num_entities() * 32 * 4,
-        "resident bytes must stay below the full table"
-    );
-}
-
-#[test]
 fn sharded_tier_is_bitwise_identical_to_the_single_engine_under_q8() {
     let (bkg, _f, model, store) = trained_tiny();
     let kge = came_kge(&model, &bkg.dataset);
@@ -202,27 +161,22 @@ fn degraded_serving_is_layout_independent_on_the_modality_poor_preset() {
         "some heads must be degraded"
     );
 
-    for kind in [StoreKind::Q8, StoreKind::File] {
-        model.freeze_entity_store(&store, kind).unwrap();
-        let responses = ScoringEngine::new(&kge, &store)
-            .top_k_batch(&reqs, None)
-            .unwrap();
-        for (a, b) in dense.iter().zip(&responses) {
-            assert_eq!(
-                a.degraded, b.degraded,
-                "degraded flag must not depend on the row layout ({kind:?})"
-            );
-            assert_eq!(a.partial, b.partial);
-        }
-        let scores = score_all(&kge, &store, &queries);
-        let rho = mean_spearman_topk(&dense_scores, &scores, n, 10);
-        assert!(rho >= 0.99, "{kind:?} mean Spearman {rho} below the gate");
-        let floor = min_spearman_topk(&dense_scores, &scores, n, 10);
-        assert!(
-            floor >= 0.9,
-            "{kind:?} worst-query Spearman {floor} too low"
+    model.freeze_entity_store(&store, StoreKind::Q8).unwrap();
+    let responses = ScoringEngine::new(&kge, &store)
+        .top_k_batch(&reqs, None)
+        .unwrap();
+    for (a, b) in dense.iter().zip(&responses) {
+        assert_eq!(
+            a.degraded, b.degraded,
+            "degraded flag must not depend on the row layout (q8)"
         );
+        assert_eq!(a.partial, b.partial);
     }
+    let scores = score_all(&kge, &store, &queries);
+    let rho = mean_spearman_topk(&dense_scores, &scores, n, 10);
+    assert!(rho >= 0.99, "q8 mean Spearman {rho} below the gate");
+    let floor = min_spearman_topk(&dense_scores, &scores, n, 10);
+    assert!(floor >= 0.9, "q8 worst-query Spearman {floor} too low");
 }
 
 #[test]

@@ -8,8 +8,8 @@ use std::sync::{Arc, Mutex};
 use came_encoders::{FrozenCache, FrozenError, ModalFeatures};
 use came_kg::{EntityId, FilterIndex, KgDataset, OneToNModel, RelationId, TrainConfig};
 use came_tensor::{
-    build_store, EmbeddingTable, EntityHead, FileBackedStore, Graph, Linear, ParamId, ParamStore,
-    Prng, QuantError, Shape, StoreKind, Tensor, Var,
+    build_store, EmbeddingTable, EntityHead, Graph, Linear, ParamId, ParamStore, Prng, QuantError,
+    Shape, StoreKind, Tensor, Var,
 };
 
 use crate::config::CamEConfig;
@@ -391,13 +391,7 @@ impl CamE {
         let (n, de) = (self.n_entities, self.cfg.d_embed);
         let rows = store.value(self.ent.table);
         let bias = store.value(self.ent_bias).data().to_vec();
-        let est = build_store(
-            kind,
-            rows.data(),
-            n,
-            de,
-            FileBackedStore::cache_rows_from_env(),
-        )?;
+        let est = build_store(kind, rows.data(), n, de)?;
         *self.serve_head.lock().unwrap() = HeadState::Ready(Arc::new(EntityHead::new(est, bias)));
         Ok(())
     }

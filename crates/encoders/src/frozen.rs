@@ -11,9 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use came_biodata::MultimodalBkg;
 use came_kg::KgDataset;
-use came_tensor::{
-    build_store, DenseF32Store, EmbeddingStore, QuantError, Shape, StoreKind, Tensor,
-};
+use came_tensor::{DenseF32Store, EmbeddingStore, Shape, Tensor};
 
 use crate::compgcn::pretrain_structural;
 use crate::molecule_gin::MoleculeEncoder;
@@ -54,14 +52,6 @@ pub enum FrozenError {
         /// Entity id whose row is absent.
         entity: usize,
     },
-    /// The backing [`EmbeddingStore`](came_tensor::EmbeddingStore) failed to
-    /// build or stream (quantization overflow, backing-file I/O).
-    Store {
-        /// Modality whose store failed.
-        modality: String,
-        /// The underlying store error, rendered.
-        message: String,
-    },
 }
 
 impl fmt::Display for FrozenError {
@@ -87,9 +77,6 @@ impl fmt::Display for FrozenError {
                 f,
                 "entity {entity} carries no {modality} features; serve degraded or use the fallback embedding"
             ),
-            FrozenError::Store { modality, message } => {
-                write!(f, "{modality} feature store failed: {message}")
-            }
         }
     }
 }
@@ -118,33 +105,6 @@ fn non_finite_rows_flat(data: &[f32], d: usize) -> usize {
     data.chunks(d.max(1))
         .filter(|row| row.iter().any(|x| !x.is_finite()))
         .count()
-}
-
-/// Build an [`EmbeddingStore`] of `kind` over `rows`, converting store
-/// failures into [`FrozenError`]s that name the modality: non-finite input
-/// rows map to [`FrozenError::NonFinite`] (the same error a table-level
-/// check reports), everything else (quantization-range overflow, backing
-/// file I/O) to [`FrozenError::Store`].
-fn build_frozen_store(
-    modality: &str,
-    kind: StoreKind,
-    rows: &[f32],
-    n: usize,
-    d: usize,
-) -> Result<Box<dyn EmbeddingStore>, FrozenError> {
-    let cache_rows = came_tensor::FileBackedStore::cache_rows_from_env();
-    build_store(kind, rows, n, d, cache_rows).map_err(|e| match e {
-        QuantError::NonFinite { .. } if non_finite_rows_flat(rows, d) > 0 => {
-            FrozenError::NonFinite {
-                modality: modality.into(),
-                bad_rows: non_finite_rows_flat(rows, d),
-            }
-        }
-        other => FrozenError::Store {
-            modality: modality.into(),
-            message: other.to_string(),
-        },
-    })
 }
 
 /// Options for building [`ModalFeatures`].
@@ -340,22 +300,6 @@ impl ModalFeatures {
         )
     }
 
-    /// [`ModalFeatures::caches`] with every modality re-encoded through the
-    /// given [`StoreKind`] — `q8`/`file` for compact or larger-than-RAM
-    /// feature serving. Presence masks and degraded-path behavior are
-    /// identical to the dense caches regardless of layout.
-    pub fn caches_with(
-        &self,
-        kind: StoreKind,
-    ) -> Result<(FrozenCache, FrozenCache, FrozenCache), FrozenError> {
-        let (m, t, s) = self.caches();
-        Ok((
-            m.with_store_kind(kind)?,
-            t.with_store_kind(kind)?,
-            s.with_store_kind(kind)?,
-        ))
-    }
-
     /// Random features of matching shape — a null control used in tests.
     pub fn random_control(n: usize, cfg: &FeatureConfig, seed: u64) -> ModalFeatures {
         let mut rng = came_tensor::Prng::new(seed);
@@ -371,11 +315,9 @@ impl ModalFeatures {
 
 /// Memoised output table of a frozen encoder: an `[N, d]` table computed
 /// once per (entity, encoder-version), served thereafter by row gathers
-/// instead of re-running the encoder forward per batch. The rows live behind
-/// an [`EmbeddingStore`]: resident f32 by default (bit-identical to the
-/// historical dense path — gathers stay straight `memcpy`s), or quantized /
-/// file-backed via [`FrozenCache::with_store_kind`] so partial-modality
-/// degraded serving behaves identically whichever layout holds the rows.
+/// instead of re-running the encoder forward per batch. The rows live in a
+/// resident [`DenseF32Store`], so every gather is a straight `memcpy`,
+/// bit-identical to reading the encoder's output table.
 ///
 /// The cache is valid as long as the encoder that produced it stays frozen.
 /// Marking the encoder trainable (or calling [`FrozenCache::invalidate`])
@@ -384,7 +326,7 @@ impl ModalFeatures {
 /// version. Gather counters expose how much encoder work was skipped.
 pub struct FrozenCache {
     modality: String,
-    store: Box<dyn EmbeddingStore>,
+    store: DenseF32Store,
     /// Per-row presence mask; `None` means every entity carries this
     /// modality (dense caches pay no per-gather presence check).
     presence: Option<Vec<bool>>,
@@ -399,8 +341,7 @@ pub struct FrozenCache {
 
 impl FrozenCache {
     /// Wrap a precomputed `[N, d]` encoder output table (version 1), tagged
-    /// with the modality it serves so failures name their source. The rows
-    /// land in the resident-f32 store.
+    /// with the modality it serves so failures name their source.
     ///
     /// # Panics
     /// Panics if the table is not 2-D.
@@ -411,7 +352,7 @@ impl FrozenCache {
             .expect("2-D tensor rows always factor");
         FrozenCache {
             modality: modality.into(),
-            store: Box::new(store),
+            store,
             presence: None,
             version: 1,
             trainable: false,
@@ -419,32 +360,6 @@ impl FrozenCache {
             gathers: AtomicU64::new(0),
             rows_served: AtomicU64::new(0),
         }
-    }
-
-    /// Re-encode the cached rows through a different [`StoreKind`] —
-    /// `q8`/`file` for compact or larger-than-RAM feature serving. Presence,
-    /// version, and counters carry over; gathers, strict gathers, and
-    /// degraded-path behavior are layout-independent (quantized layouts
-    /// dequantize on gather). Quantization failures surface as typed
-    /// [`FrozenError`]s naming this modality.
-    pub fn with_store_kind(mut self, kind: StoreKind) -> Result<Self, FrozenError> {
-        let (n, d) = (self.len(), self.dim());
-        let mut rows = vec![0.0f32; n * d];
-        let ids: Vec<u32> = (0..n as u32).collect();
-        self.store.gather_into(&ids, &mut rows);
-        self.store = build_frozen_store(&self.modality, kind, &rows, n, d)?;
-        Ok(self)
-    }
-
-    /// Which row layout backs this cache.
-    pub fn store_kind(&self) -> StoreKind {
-        self.store.kind()
-    }
-
-    /// Bytes of row payload resident in RAM (a file-backed cache reports
-    /// only its LRU cache, not the spilled rows).
-    pub fn resident_bytes(&self) -> usize {
-        self.store.resident_bytes()
     }
 
     /// Attach a per-row presence mask: entities whose flag is `false` carry
@@ -483,27 +398,14 @@ impl FrozenCache {
 
     /// Check the cache is servable and its rows finite, naming the modality
     /// on failure. The divergence sentinel calls this after a NaN trip to
-    /// report which frozen input (if any) is to blame. Rows are scanned in
-    /// bounded chunks so file-backed caches never materialise the full table.
+    /// report which frozen input (if any) is to blame.
     pub fn check_finite(&self) -> Result<(), FrozenError> {
         if self.dirty {
             return Err(FrozenError::Stale {
                 modality: self.modality.clone(),
             });
         }
-        let (n, d) = (self.len(), self.dim());
-        const CHUNK: usize = 4096;
-        let mut bad_rows = 0usize;
-        let mut buf = vec![0.0f32; CHUNK.min(n.max(1)) * d];
-        let mut lo = 0usize;
-        while lo < n {
-            let hi = (lo + CHUNK).min(n);
-            let ids: Vec<u32> = (lo as u32..hi as u32).collect();
-            let out = &mut buf[..(hi - lo) * d];
-            self.store.gather_into(&ids, out);
-            bad_rows += non_finite_rows_flat(out, d);
-            lo = hi;
-        }
+        let bad_rows = non_finite_rows_flat(self.store.rows(), self.dim());
         if bad_rows > 0 {
             return Err(FrozenError::NonFinite {
                 modality: self.modality.clone(),
@@ -572,10 +474,9 @@ impl FrozenCache {
 
     /// Gather rows `ids` into a fresh `[ids.len(), d]` tensor — the per-batch
     /// replacement for an encoder forward. The buffer comes from the tensor
-    /// pool uninitialised and every row is overwritten by its gather, so the
-    /// serving hot loop never pays a zero-fill pass. On the default resident
-    /// f32 store each row is a straight `memcpy`; quantized layouts
-    /// dequantize on the fly.
+    /// pool uninitialised and every row is overwritten by its gather (a
+    /// straight `memcpy`), so the serving hot loop never pays a zero-fill
+    /// pass.
     ///
     /// # Panics
     /// Panics if the cache is stale or an id is out of range.
@@ -666,9 +567,7 @@ impl FrozenCache {
 
     /// Install a freshly recomputed table and bump the encoder version,
     /// rejecting misaligned or NaN/inf encoder output with a typed error
-    /// (the cache keeps its previous rows on failure). The new rows are
-    /// re-encoded through the cache's current [`StoreKind`], so a quantized
-    /// or file-backed cache stays quantized across refreshes.
+    /// (the cache keeps its previous rows on failure).
     pub fn try_refresh(&mut self, table: Tensor) -> Result<(), FrozenError> {
         if table.shape().ndim() != 2
             || table.shape().at(0) != self.len()
@@ -687,8 +586,7 @@ impl FrozenCache {
             });
         }
         let (n, d) = (self.len(), self.dim());
-        let kind = self.store.kind();
-        self.store = build_frozen_store(&self.modality, kind, table.data(), n, d)?;
+        self.store = DenseF32Store::from_rows(table.into_vec(), n, d).expect("shape checked above");
         self.version += 1;
         self.dirty = false;
         Ok(())
@@ -873,6 +771,23 @@ mod tests {
         assert_eq!(m.preflight_coverage(n), Ok(m.missing_rows()));
         assert_eq!(s.preflight_coverage(n), Ok(0));
         assert_eq!(m.present_rows() + m.missing_rows(), n);
+        // strict gathers name the first entity lacking the modality and
+        // serve present rows exactly as the encoder produced them
+        let absent = (0..n as u32).find(|&e| !m.is_present(e)).unwrap();
+        assert_eq!(
+            m.try_rows(&[absent]),
+            Err(FrozenError::MissingModality {
+                modality: "molecular".into(),
+                entity: absent as usize,
+            })
+        );
+        let d = f.textual.shape().at(1);
+        let present: Vec<u32> = (0..n as u32).filter(|&e| t.is_present(e)).collect();
+        let want: Vec<f32> = present
+            .iter()
+            .flat_map(|&e| f.textual.data()[e as usize * d..(e as usize + 1) * d].to_vec())
+            .collect();
+        assert_eq!(t.try_rows(&present).unwrap().data(), &want[..]);
     }
 
     #[test]
@@ -926,98 +841,6 @@ mod tests {
             }
         }
         a.validate(bkg.num_entities());
-    }
-
-    #[test]
-    fn quantized_cache_serves_near_identical_rows_with_smaller_footprint() {
-        let bkg = presets::tiny(7);
-        let f = ModalFeatures::build(&bkg, &small_cfg());
-        let dense = FrozenCache::named("textual", f.textual.clone());
-        let q8 = FrozenCache::named("textual", f.textual.clone())
-            .with_store_kind(StoreKind::Q8)
-            .unwrap();
-        assert_eq!(q8.store_kind(), StoreKind::Q8);
-        assert_eq!((q8.len(), q8.dim()), (dense.len(), dense.dim()));
-        assert!(
-            q8.resident_bytes() * 2 < dense.resident_bytes(),
-            "q8 rows should be well under half the f32 footprint: {} vs {}",
-            q8.resident_bytes(),
-            dense.resident_bytes()
-        );
-        let ids: Vec<u32> = (0..dense.len() as u32).collect();
-        let (a, b) = (dense.rows(&ids), q8.rows(&ids));
-        let worst = a
-            .data()
-            .iter()
-            .zip(b.data())
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0f32, f32::max);
-        // Per-row affine u8: error bounded by half a quantization step.
-        assert!(worst < 0.05, "worst dequant error {worst}");
-        assert!(q8.check_finite().is_ok());
-    }
-
-    #[test]
-    fn file_backed_cache_matches_quantized_rows_bitwise() {
-        let t = Tensor::randn(Shape::d2(64, 12), 1.0, &mut came_tensor::Prng::new(11));
-        let q8 = FrozenCache::named("molecular", t.clone())
-            .with_store_kind(StoreKind::Q8)
-            .unwrap();
-        let file = FrozenCache::named("molecular", t)
-            .with_store_kind(StoreKind::File)
-            .unwrap();
-        assert_eq!(file.store_kind(), StoreKind::File);
-        let ids: Vec<u32> = (0..64).rev().collect();
-        assert_eq!(q8.rows(&ids).data(), file.rows(&ids).data());
-        assert!(file.check_finite().is_ok());
-    }
-
-    #[test]
-    fn refresh_keeps_the_store_kind() {
-        let mut c = FrozenCache::named("textual", Tensor::zeros(Shape::d2(4, 3)))
-            .with_store_kind(StoreKind::Q8)
-            .unwrap();
-        c.invalidate();
-        c.refresh(Tensor::from_vec(Shape::d2(4, 3), vec![2.0; 12]));
-        assert_eq!(c.store_kind(), StoreKind::Q8);
-        assert_eq!(c.version(), 2);
-        // Constant rows round-trip exactly through the affine.
-        assert_eq!(c.rows(&[1]).data(), &[2.0, 2.0, 2.0]);
-    }
-
-    #[test]
-    fn degraded_path_is_layout_independent_on_modality_poor_preset() {
-        let bkg = presets::modality_poor_like(12);
-        let f = ModalFeatures::build(&bkg, &small_cfg());
-        let n = f.num_entities();
-        let (dm, dt, ds) = f.caches();
-        for kind in [StoreKind::Q8, StoreKind::File] {
-            let (m, t, s) = f.caches_with(kind).unwrap();
-            // Same coverage, same preflight verdicts, same absent-entity
-            // errors — only the row layout changed.
-            assert_eq!(m.missing_rows(), dm.missing_rows());
-            assert_eq!(t.missing_rows(), dt.missing_rows());
-            assert_eq!(s.missing_rows(), ds.missing_rows());
-            assert_eq!(m.preflight_coverage(n), dm.preflight_coverage(n));
-            let absent = (0..n as u32).find(|&e| !dm.is_present(e)).unwrap();
-            assert_eq!(
-                m.try_rows(&[absent]),
-                Err(FrozenError::MissingModality {
-                    modality: "molecular".into(),
-                    entity: absent as usize,
-                })
-            );
-            let present: Vec<u32> = (0..n as u32).filter(|&e| dt.is_present(e)).collect();
-            let got = t.try_rows(&present).unwrap();
-            let want = dt.try_rows(&present).unwrap();
-            let worst = got
-                .data()
-                .iter()
-                .zip(want.data())
-                .map(|(x, y)| (x - y).abs())
-                .fold(0.0f32, f32::max);
-            assert!(worst < 0.05, "{kind:?} textual dequant error {worst}");
-        }
     }
 
     #[test]

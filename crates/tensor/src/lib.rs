@@ -65,7 +65,7 @@ pub use nn::{Adam, Conv2dLayer, EmbeddingTable, Linear, ParamId, ParamStateView,
 pub use rng::Prng;
 pub use shape::{Shape, MAX_NDIM};
 pub use store::{
-    build_store, store_from_blob, DenseF32Store, EmbeddingStore, EntityHead, FileBackedStore,
-    QuantError, QuantizedStore, StoreKind,
+    build_store, store_from_blob, DenseF32Store, EmbeddingStore, EntityHead, QuantError,
+    QuantizedStore, StoreKind,
 };
 pub use tensor::Tensor;

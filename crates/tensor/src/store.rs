@@ -1,43 +1,30 @@
-//! Entity-row embedding stores: one trait, three row layouts.
+//! Entity-row embedding stores: one trait, two row layouts.
 //!
 //! Serving scores a handful of query rows against *every* entity row, so the
-//! entity table dominates the serving tier's memory footprint. Historically
-//! the rows lived in three places at once — `came-core` model params, the
-//! `came-encoders` frozen feature caches, and the serving/snapshot layers in
-//! `came-kg` — always as resident f32 tensors. [`EmbeddingStore`] extracts
-//! that data path behind one trait with three implementations:
+//! entity table dominates the serving tier's memory footprint.
+//! [`EmbeddingStore`] puts that data path behind one trait with two
+//! resident implementations:
 //!
-//! * [`DenseF32Store`] — the existing resident layout, extracted verbatim:
-//!   row gathers are straight `memcpy`s and scoring is the plain f32 dot,
-//!   bit-identical to the pre-refactor path.
+//! * [`DenseF32Store`] — flat row-major f32 rows: row gathers are straight
+//!   `memcpy`s and scoring is the plain f32 dot, bit-identical to the dense
+//!   in-graph path.
 //! * [`QuantizedStore`] — per-row affine u8 quantization
 //!   (`x ≈ min + scale·code`, `scale = (max−min)/255`), quantized once at
 //!   freeze time. Scoring never materializes f32 rows: the affine identity
 //!   `dot(q, deq_row) = min·Σq + scale·dot(q, codes)` routes through the
 //!   fused [`Backend::dot_q8`] / [`Backend::gemm_q8_f32`] kernels with the
 //!   per-query sums precomputed once per batch.
-//! * [`FileBackedStore`] — the same quantized rows streamed from disk
-//!   through a fixed-budget LRU row cache (`CAME_EMBED_CACHE_ROWS`), so the
-//!   scorable entity set can exceed RAM. Scores are bitwise identical to
-//!   [`QuantizedStore`] under the same backend: cache state only decides
-//!   where bytes are copied from, never how they are reduced.
 //!
 //! Store selection is environment-driven ([`StoreKind::from_env`], knob
-//! `CAME_EMBED_STORE=f32|q8|file`, default `f32`). Quantization rejects
+//! `CAME_EMBED_STORE=f32|q8`, default `f32`). Quantization rejects
 //! non-finite rows with the typed [`QuantError::NonFinite`]; constant rows
-//! (including all-zero) get `scale = 0` and reproduce exactly.
-
-use std::collections::HashMap;
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::Mutex;
+//! (including all-zero) get `scale = 0` and reproduce exactly. Checkpoint
+//! blobs ([`store_from_blob`], [`EntityHead::from_blob`]) are outside input:
+//! every length in them is checked against the bytes actually present
+//! before anything is allocated, and a malformed blob is a
+//! [`QuantError::Blob`], never a panic.
 
 use crate::backend;
-
-/// Default LRU row-cache budget for [`FileBackedStore`] when
-/// `CAME_EMBED_CACHE_ROWS` is unset.
-pub const DEFAULT_CACHE_ROWS: usize = 8192;
 
 /// Which row layout an [`EmbeddingStore`] uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,8 +33,6 @@ pub enum StoreKind {
     F32,
     /// Resident per-row affine u8 rows.
     Q8,
-    /// File-backed u8 rows behind an LRU row cache.
-    File,
 }
 
 impl StoreKind {
@@ -56,7 +41,6 @@ impl StoreKind {
         match s.trim().to_ascii_lowercase().as_str() {
             "f32" => Some(StoreKind::F32),
             "q8" | "int8" => Some(StoreKind::Q8),
-            "file" => Some(StoreKind::File),
             _ => None,
         }
     }
@@ -78,12 +62,11 @@ impl StoreKind {
         match self {
             StoreKind::F32 => "f32",
             StoreKind::Q8 => "q8",
-            StoreKind::File => "file",
         }
     }
 }
 
-/// Typed failure building or streaming a quantized store.
+/// Typed failure building or decoding a store.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum QuantError {
     /// A source row contains NaN or ±inf: affine code assignment is
@@ -101,8 +84,9 @@ pub enum QuantError {
         /// Declared row width.
         dim: usize,
     },
-    /// Backing-file I/O failed (create/write/read/seek).
-    Io(String),
+    /// A checkpoint blob is truncated, oversized, or declares a geometry
+    /// its payload cannot hold.
+    Blob(String),
 }
 
 impl std::fmt::Display for QuantError {
@@ -120,12 +104,25 @@ impl std::fmt::Display for QuantError {
                     "embedding buffer of {len} floats is not {rows} rows x {dim} dims"
                 )
             }
-            QuantError::Io(msg) => write!(f, "embedding store I/O error: {msg}"),
+            QuantError::Blob(msg) => write!(f, "malformed store blob: {msg}"),
         }
     }
 }
 
 impl std::error::Error for QuantError {}
+
+/// `Ok(())` when a flat buffer of `len` elements factors as `n × d`.
+fn check_factors(len: usize, n: usize, d: usize) -> Result<(), QuantError> {
+    if n.checked_mul(d) == Some(len) {
+        Ok(())
+    } else {
+        Err(QuantError::Misaligned {
+            len,
+            rows: n,
+            dim: d,
+        })
+    }
+}
 
 /// One entity-row store: `len()` rows of `dim()` f32-valued features, however
 /// they are laid out physically. All scoring entry points are `&self` and
@@ -160,14 +157,8 @@ pub trait EmbeddingStore: Send + Sync {
     /// Panics if `lo > hi`, `hi > len()`, or buffer sizes mismatch.
     fn score_range_into(&self, queries: &[f32], m: usize, lo: usize, hi: usize, out: &mut [f32]);
 
-    /// Bytes of row payload resident in RAM (codes/affine/cache — excludes
-    /// anything living only on disk).
+    /// Bytes of row payload resident in RAM (rows, codes and affine).
     fn resident_bytes(&self) -> usize;
-
-    /// `(hits, misses)` of the row cache, when the layout has one.
-    fn cache_stats(&self) -> Option<(u64, u64)> {
-        None
-    }
 
     /// Serialize the rows for checkpoints: kind tag, geometry, payload.
     /// Restored by [`store_from_blob`] to a store scoring bit-identically.
@@ -208,13 +199,7 @@ impl DenseF32Store {
     /// Wrap a flat row-major `[n, d]` buffer. Values are taken as-is (the
     /// dense layout represents anything f32 can, so nothing is rejected).
     pub fn from_rows(data: Vec<f32>, n: usize, d: usize) -> Result<DenseF32Store, QuantError> {
-        if data.len() != n * d {
-            return Err(QuantError::Misaligned {
-                len: data.len(),
-                rows: n,
-                dim: d,
-            });
-        }
+        check_factors(data.len(), n, d)?;
         Ok(DenseF32Store { data, n, d })
     }
 
@@ -308,13 +293,7 @@ pub struct QuantizedStore {
 impl QuantizedStore {
     /// Quantize a flat row-major `[n, d]` f32 buffer.
     pub fn from_rows(rows: &[f32], n: usize, d: usize) -> Result<QuantizedStore, QuantError> {
-        if rows.len() != n * d {
-            return Err(QuantError::Misaligned {
-                len: rows.len(),
-                rows: n,
-                dim: d,
-            });
-        }
+        check_factors(rows.len(), n, d)?;
         let mut codes = vec![0u8; n * d];
         let mut scales = vec![0.0f32; n];
         let mut mins = vec![0.0f32; n];
@@ -336,24 +315,25 @@ impl QuantizedStore {
         })
     }
 
-    /// Rebuild from the parallel arrays a blob or file carries.
+    /// Rebuild from the parallel arrays a blob carries, checking that they
+    /// describe exactly `n` rows of width `d`.
     fn from_parts(
         n: usize,
         d: usize,
         codes: Vec<u8>,
         scales: Vec<f32>,
         mins: Vec<f32>,
-    ) -> QuantizedStore {
-        debug_assert_eq!(codes.len(), n * d);
-        debug_assert_eq!(scales.len(), n);
-        debug_assert_eq!(mins.len(), n);
-        QuantizedStore {
+    ) -> Result<QuantizedStore, QuantError> {
+        check_factors(codes.len(), n, d)?;
+        check_factors(scales.len(), n, 1)?;
+        check_factors(mins.len(), n, 1)?;
+        Ok(QuantizedStore {
             n,
             d,
             codes,
             scales,
             mins,
-        }
+        })
     }
 
     /// Dequantize one element (tests / spot checks).
@@ -362,8 +342,7 @@ impl QuantizedStore {
     }
 }
 
-/// Quantize one row into `codes`/`scale`/`min`. Shared by the resident and
-/// file-backed builders so both assign identical codes.
+/// Quantize one row into `codes`/`scale`/`min`.
 fn quantize_row(
     row: &[f32],
     r: usize,
@@ -470,400 +449,38 @@ impl EmbeddingStore for QuantizedStore {
 }
 
 // --------------------------------------------------------------------------
-// file-backed u8 + LRU row cache
-// --------------------------------------------------------------------------
-
-/// Constant-time LRU over cached rows: a slot arena (codes flat, affine
-/// parallel) threaded on an index-based doubly-linked recency list, plus a
-/// row→slot map. Eviction pops the list tail; hits splice to the head.
-struct LruRowCache {
-    cap: usize,
-    d: usize,
-    map: HashMap<u32, usize>,
-    row_of: Vec<u32>,
-    codes: Vec<u8>,
-    scales: Vec<f32>,
-    mins: Vec<f32>,
-    prev: Vec<usize>,
-    next: Vec<usize>,
-    head: usize,
-    tail: usize,
-}
-
-const NONE: usize = usize::MAX;
-
-impl LruRowCache {
-    fn new(cap: usize, d: usize) -> LruRowCache {
-        LruRowCache {
-            cap: cap.max(1),
-            d,
-            map: HashMap::new(),
-            row_of: Vec::new(),
-            codes: Vec::new(),
-            scales: Vec::new(),
-            mins: Vec::new(),
-            prev: Vec::new(),
-            next: Vec::new(),
-            head: NONE,
-            tail: NONE,
-        }
-    }
-
-    fn unlink(&mut self, s: usize) {
-        let (p, nx) = (self.prev[s], self.next[s]);
-        if p == NONE {
-            self.head = nx;
-        } else {
-            self.next[p] = nx;
-        }
-        if nx == NONE {
-            self.tail = p;
-        } else {
-            self.prev[nx] = p;
-        }
-    }
-
-    fn push_front(&mut self, s: usize) {
-        self.prev[s] = NONE;
-        self.next[s] = self.head;
-        if self.head != NONE {
-            self.prev[self.head] = s;
-        }
-        self.head = s;
-        if self.tail == NONE {
-            self.tail = s;
-        }
-    }
-
-    /// Slot of `row` if cached, refreshed to most-recently-used.
-    fn get(&mut self, row: u32) -> Option<usize> {
-        let s = *self.map.get(&row)?;
-        if self.head != s {
-            self.unlink(s);
-            self.push_front(s);
-        }
-        Some(s)
-    }
-
-    /// Admit `row`, evicting the least-recently-used slot at capacity.
-    /// Returns the slot to fill.
-    fn insert(&mut self, row: u32) -> usize {
-        let s = if self.row_of.len() < self.cap {
-            let s = self.row_of.len();
-            self.row_of.push(row);
-            self.codes.resize((s + 1) * self.d, 0);
-            self.scales.push(0.0);
-            self.mins.push(0.0);
-            self.prev.push(NONE);
-            self.next.push(NONE);
-            s
-        } else {
-            let s = self.tail;
-            self.unlink(s);
-            self.map.remove(&self.row_of[s]);
-            self.row_of[s] = row;
-            s
-        };
-        self.map.insert(row, s);
-        self.push_front(s);
-        s
-    }
-
-    fn resident_bytes(&self) -> usize {
-        self.codes.len()
-            + (self.scales.len() + self.mins.len()) * std::mem::size_of::<f32>()
-            + self.map.len() * (std::mem::size_of::<u32>() + std::mem::size_of::<usize>())
-    }
-}
-
-/// Quantized rows streamed from a backing file through a fixed-budget LRU
-/// row cache, so the scorable row set can exceed RAM. The on-disk record is
-/// `[scale f32-LE, min f32-LE, codes u8×d]` per row; scoring gathers each
-/// candidate block's codes into scratch (cache first, disk on miss) and runs
-/// the same fused [`Backend::gemm_q8_f32`] kernel as [`QuantizedStore`], so
-/// scores are bitwise identical to the resident quantized store under the
-/// same backend — cache state decides where bytes come from, never how they
-/// are reduced.
-pub struct FileBackedStore {
-    path: PathBuf,
-    file: Mutex<std::fs::File>,
-    n: usize,
-    d: usize,
-    cache: Mutex<LruRowCache>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-/// Row block gathered per fused-GEMM call on the streaming score path.
-const SCORE_BLOCK_ROWS: usize = 1024;
-
-impl FileBackedStore {
-    /// Quantize `rows` (same scheme and typed errors as
-    /// [`QuantizedStore::from_rows`]) and spill the codes to `path`, keeping
-    /// at most `cache_rows` rows resident.
-    pub fn create(
-        path: PathBuf,
-        rows: &[f32],
-        n: usize,
-        d: usize,
-        cache_rows: usize,
-    ) -> Result<FileBackedStore, QuantError> {
-        if rows.len() != n * d {
-            return Err(QuantError::Misaligned {
-                len: rows.len(),
-                rows: n,
-                dim: d,
-            });
-        }
-        let io = |e: std::io::Error| QuantError::Io(format!("{}: {e}", path.display()));
-        let mut file = std::fs::File::options()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&path)
-            .map_err(io)?;
-        let mut record = vec![0u8; 8 + d];
-        let (mut scale, mut min) = (0.0f32, 0.0f32);
-        for (r, row) in rows.chunks(d.max(1)).enumerate().take(n) {
-            quantize_row(row, r, &mut record[8..], &mut scale, &mut min)?;
-            record[0..4].copy_from_slice(&scale.to_le_bytes());
-            record[4..8].copy_from_slice(&min.to_le_bytes());
-            file.write_all(&record).map_err(io)?;
-        }
-        file.flush().map_err(io)?;
-        Ok(FileBackedStore {
-            path,
-            file: Mutex::new(file),
-            n,
-            d,
-            cache: Mutex::new(LruRowCache::new(cache_rows, d)),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        })
-    }
-
-    /// A fresh store in the system temp directory (unique per store); the
-    /// backing file is removed on drop.
-    pub fn create_temp(
-        rows: &[f32],
-        n: usize,
-        d: usize,
-        cache_rows: usize,
-    ) -> Result<FileBackedStore, QuantError> {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let path = std::env::temp_dir().join(format!(
-            "came-embed-{}-{}.q8rows",
-            std::process::id(),
-            SEQ.fetch_add(1, Relaxed)
-        ));
-        FileBackedStore::create(path, rows, n, d, cache_rows)
-    }
-
-    /// The LRU budget in rows (`CAME_EMBED_CACHE_ROWS`, default
-    /// [`DEFAULT_CACHE_ROWS`]).
-    pub fn cache_rows_from_env() -> usize {
-        std::env::var("CAME_EMBED_CACHE_ROWS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&v| v > 0)
-            .unwrap_or(DEFAULT_CACHE_ROWS)
-    }
-
-    /// Copy rows `[lo, hi)` — codes plus affine — into the scratch arrays,
-    /// serving from the cache and reading misses from disk (admitting them).
-    fn fetch_block(
-        &self,
-        lo: usize,
-        hi: usize,
-        codes: &mut [u8],
-        scales: &mut [f32],
-        mins: &mut [f32],
-    ) {
-        let d = self.d;
-        let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-        let (mut hits, mut misses) = (0u64, 0u64);
-        for (jj, r) in (lo..hi).enumerate() {
-            let slot = match cache.get(r as u32) {
-                Some(s) => {
-                    hits += 1;
-                    s
-                }
-                None => {
-                    misses += 1;
-                    let s = cache.insert(r as u32);
-                    let mut rec = vec![0u8; 8 + d];
-                    {
-                        let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
-                        file.seek(SeekFrom::Start((r * (8 + d)) as u64))
-                            .and_then(|_| file.read_exact(&mut rec))
-                            .unwrap_or_else(|e| {
-                                panic!(
-                                    "embedding store read failed at row {r} ({}): {e}",
-                                    self.path.display()
-                                )
-                            });
-                    }
-                    cache.scales[s] = f32::from_le_bytes(rec[0..4].try_into().unwrap());
-                    cache.mins[s] = f32::from_le_bytes(rec[4..8].try_into().unwrap());
-                    cache.codes[s * d..(s + 1) * d].copy_from_slice(&rec[8..]);
-                    s
-                }
-            };
-            codes[jj * d..(jj + 1) * d].copy_from_slice(&cache.codes[slot * d..(slot + 1) * d]);
-            scales[jj] = cache.scales[slot];
-            mins[jj] = cache.mins[slot];
-        }
-        self.hits.fetch_add(hits, Relaxed);
-        self.misses.fetch_add(misses, Relaxed);
-    }
-}
-
-impl Drop for FileBackedStore {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
-impl EmbeddingStore for FileBackedStore {
-    fn kind(&self) -> StoreKind {
-        StoreKind::File
-    }
-
-    fn len(&self) -> usize {
-        self.n
-    }
-
-    fn dim(&self) -> usize {
-        self.d
-    }
-
-    fn gather_into(&self, ids: &[u32], out: &mut [f32]) {
-        assert_eq!(out.len(), ids.len() * self.d, "gather buffer size mismatch");
-        let d = self.d;
-        let mut codes = vec![0u8; d];
-        let mut scale = [0.0f32];
-        let mut min = [0.0f32];
-        for (slot, &id) in out.chunks_mut(d.max(1)).zip(ids) {
-            let r = id as usize;
-            assert!(r < self.n, "row {r} out of range for {} rows", self.n);
-            self.fetch_block(r, r + 1, &mut codes, &mut scale, &mut min);
-            for (o, &c) in slot.iter_mut().zip(&codes) {
-                *o = min[0] + scale[0] * c as f32;
-            }
-        }
-    }
-
-    fn score_range_into(&self, queries: &[f32], m: usize, lo: usize, hi: usize, out: &mut [f32]) {
-        check_score_args(queries, m, lo, hi, out, self.n, self.d);
-        let (d, w) = (self.d, hi - lo);
-        if w == 0 {
-            return;
-        }
-        let a_sums = query_sums(queries, m, d);
-        let b = backend::active();
-        let block = SCORE_BLOCK_ROWS;
-        let mut codes = vec![0u8; block.min(w) * d];
-        let mut scales = vec![0.0f32; block.min(w)];
-        let mut mins = vec![0.0f32; block.min(w)];
-        let mut scratch = vec![0.0f32; m * block.min(w)];
-        let mut j0 = lo;
-        while j0 < hi {
-            let j1 = (j0 + block).min(hi);
-            let bw = j1 - j0;
-            self.fetch_block(
-                j0,
-                j1,
-                &mut codes[..bw * d],
-                &mut scales[..bw],
-                &mut mins[..bw],
-            );
-            b.gemm_q8_f32(
-                queries,
-                &a_sums,
-                &codes[..bw * d],
-                &scales[..bw],
-                &mins[..bw],
-                &mut scratch[..m * bw],
-                m,
-                d,
-                bw,
-            );
-            for i in 0..m {
-                let at = i * w + (j0 - lo);
-                out[at..at + bw].copy_from_slice(&scratch[i * bw..(i + 1) * bw]);
-            }
-            j0 = j1;
-        }
-    }
-
-    fn resident_bytes(&self) -> usize {
-        self.cache
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .resident_bytes()
-    }
-
-    fn cache_stats(&self) -> Option<(u64, u64)> {
-        Some((self.hits.load(Relaxed), self.misses.load(Relaxed)))
-    }
-
-    fn to_blob(&self) -> Vec<u8> {
-        // Re-read every row so the blob is exact regardless of cache state.
-        let d = self.d;
-        let mut codes = vec![0u8; self.n * d];
-        let mut scales = vec![0.0f32; self.n];
-        let mut mins = vec![0.0f32; self.n];
-        const CHUNK: usize = 4096;
-        let mut j0 = 0;
-        while j0 < self.n {
-            let j1 = (j0 + CHUNK).min(self.n);
-            self.fetch_block(
-                j0,
-                j1,
-                &mut codes[j0 * d..j1 * d],
-                &mut scales[j0..j1],
-                &mut mins[j0..j1],
-            );
-            j0 = j1;
-        }
-        let mut out = blob_header(StoreKind::File, self.n, self.d);
-        push_affine(&mut out, &scales, &mins);
-        out.extend_from_slice(&codes);
-        out
-    }
-}
-
-// --------------------------------------------------------------------------
 // construction / serialization
 // --------------------------------------------------------------------------
 
 /// Build a store of `kind` from flat row-major `[n, d]` f32 rows.
-/// `cache_rows` bounds the [`FileBackedStore`] LRU (ignored by resident
-/// layouts).
 pub fn build_store(
     kind: StoreKind,
     rows: &[f32],
     n: usize,
     d: usize,
-    cache_rows: usize,
 ) -> Result<Box<dyn EmbeddingStore>, QuantError> {
     Ok(match kind {
         StoreKind::F32 => Box::new(DenseF32Store::from_rows(rows.to_vec(), n, d)?),
         StoreKind::Q8 => Box::new(QuantizedStore::from_rows(rows, n, d)?),
-        StoreKind::File => Box::new(FileBackedStore::create_temp(rows, n, d, cache_rows)?),
     })
 }
 
 const BLOB_MAGIC: &[u8; 4] = b"CEST";
+/// Magic, kind tag, then `n` and `d` as u64-LE.
+const BLOB_HEADER_BYTES: usize = 4 + 1 + 8 + 8;
+const TAG_F32: u8 = 0;
+const TAG_Q8: u8 = 1;
+/// Written by a since-removed file-backed layout whose payload is byte for
+/// byte a q8 payload; such blobs decode as a resident [`QuantizedStore`]
+/// and score bit-identically to the store they captured.
+const TAG_Q8_FILE: u8 = 2;
 
 fn blob_header(kind: StoreKind, n: usize, d: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + 1 + 16);
+    let mut out = Vec::with_capacity(BLOB_HEADER_BYTES);
     out.extend_from_slice(BLOB_MAGIC);
     out.push(match kind {
-        StoreKind::F32 => 0,
-        StoreKind::Q8 => 1,
-        StoreKind::File => 2,
+        StoreKind::F32 => TAG_F32,
+        StoreKind::Q8 => TAG_Q8,
     });
     out.extend_from_slice(&(n as u64).to_le_bytes());
     out.extend_from_slice(&(d as u64).to_le_bytes());
@@ -879,94 +496,68 @@ fn push_affine(out: &mut Vec<u8>, scales: &[f32], mins: &[f32]) {
     }
 }
 
-fn blob_err(msg: &str) -> QuantError {
-    QuantError::Io(format!("store blob: {msg}"))
+fn blob_err(msg: impl Into<String>) -> QuantError {
+    QuantError::Blob(msg.into())
 }
 
-/// Rebuild a store from [`EmbeddingStore::to_blob`] bytes. A `file`-kind
-/// blob is restored to a fresh temp-backed [`FileBackedStore`] with the
-/// [`FileBackedStore::cache_rows_from_env`] budget; scores are bit-identical
-/// to the captured store in every case.
+/// The u64-LE length field at `bytes[at..at + 8]`; the caller has checked
+/// that those bytes exist.
+fn read_len(bytes: &[u8], at: usize) -> Result<usize, QuantError> {
+    let raw = u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8-byte field"));
+    usize::try_from(raw).map_err(|_| blob_err(format!("length {raw} exceeds the address space")))
+}
+
+/// `a · b`, or a blob error naming `what` when the product overflows.
+fn blob_mul(a: usize, b: usize, what: &str) -> Result<usize, QuantError> {
+    a.checked_mul(b)
+        .ok_or_else(|| blob_err(format!("{what} size overflows")))
+}
+
+fn f32s_le(bytes: &[u8]) -> Vec<f32> {
+    bytes
+        .chunks_exact(4)
+        .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk")))
+        .collect()
+}
+
+/// Rebuild a store from [`EmbeddingStore::to_blob`] bytes; scores are
+/// bit-identical to the captured store. The payload must be exactly the
+/// size the header's geometry implies — checked before anything is
+/// allocated, so no blob can make the decoder allocate more than its own
+/// length.
 pub fn store_from_blob(bytes: &[u8]) -> Result<Box<dyn EmbeddingStore>, QuantError> {
-    if bytes.len() < 21 || &bytes[0..4] != BLOB_MAGIC {
+    if bytes.len() < BLOB_HEADER_BYTES || &bytes[0..4] != BLOB_MAGIC {
         return Err(blob_err("bad magic or truncated header"));
     }
-    let kind = bytes[4];
-    let n = u64::from_le_bytes(bytes[5..13].try_into().unwrap()) as usize;
-    let d = u64::from_le_bytes(bytes[13..21].try_into().unwrap()) as usize;
-    let body = &bytes[21..];
-    let take_f32s = |at: usize, count: usize| -> Result<Vec<f32>, QuantError> {
-        let end = at + count * 4;
-        if end > body.len() {
-            return Err(blob_err("truncated payload"));
-        }
-        Ok(body[at..end]
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+    let (tag, n, d) = (bytes[4], read_len(bytes, 5)?, read_len(bytes, 13)?);
+    let body = &bytes[BLOB_HEADER_BYTES..];
+    let cells = blob_mul(n, d, "rows x dim")?;
+    let want = match tag {
+        TAG_F32 => blob_mul(cells, 4, "f32 payload")?,
+        // scales f32 × n, mins f32 × n, codes u8 × n·d
+        TAG_Q8 | TAG_Q8_FILE => blob_mul(n, 8, "affine payload")?
+            .checked_add(cells)
+            .ok_or_else(|| blob_err("q8 payload size overflows"))?,
+        t => return Err(blob_err(format!("unknown store kind tag {t}"))),
     };
-    match kind {
-        0 => {
-            let data = take_f32s(0, n * d)?;
-            Ok(Box::new(DenseF32Store::from_rows(data, n, d)?))
-        }
-        1 | 2 => {
-            let scales = take_f32s(0, n)?;
-            let mins = take_f32s(n * 4, n)?;
-            let at = 8 * n;
-            if at + n * d > body.len() {
-                return Err(blob_err("truncated code payload"));
-            }
-            let codes = body[at..at + n * d].to_vec();
-            if kind == 1 {
-                Ok(Box::new(QuantizedStore::from_parts(
-                    n, d, codes, scales, mins,
-                )))
-            } else {
-                // round-trip through f32 would lose nothing (dequant is
-                // exact in f32) but re-quantizing could reassign codes; spill
-                // the original codes directly instead.
-                let q = QuantizedStore::from_parts(n, d, codes, scales, mins);
-                let mut rows = vec![0.0f32; n * d];
-                let ids: Vec<u32> = (0..n as u32).collect();
-                q.gather_into(&ids, &mut rows);
-                let f = FileBackedStore::create_temp(
-                    &rows,
-                    n,
-                    d,
-                    FileBackedStore::cache_rows_from_env(),
-                )?;
-                // Re-quantizing the exact dequantized lattice reproduces the
-                // original codes only when rounding agrees; overwrite the
-                // file records with the captured codes to guarantee
-                // bit-identity.
-                rewrite_records(&f, &q)?;
-                Ok(Box::new(f))
-            }
-        }
-        k => Err(blob_err(&format!("unknown store kind tag {k}"))),
+    if body.len() != want {
+        return Err(blob_err(format!(
+            "payload is {} bytes, a [{n}, {d}] store needs {want}",
+            body.len()
+        )));
     }
-}
-
-/// Overwrite `f`'s on-disk records with `q`'s exact codes/affine (restore
-/// path: guarantees bit-identity with the captured store).
-fn rewrite_records(f: &FileBackedStore, q: &QuantizedStore) -> Result<(), QuantError> {
-    let io = |e: std::io::Error| QuantError::Io(format!("{}: {e}", f.path.display()));
-    let d = f.d;
-    let mut file = f.file.lock().unwrap_or_else(|e| e.into_inner());
-    file.seek(SeekFrom::Start(0)).map_err(io)?;
-    let mut record = vec![0u8; 8 + d];
-    for r in 0..f.n {
-        record[0..4].copy_from_slice(&q.scales[r].to_le_bytes());
-        record[4..8].copy_from_slice(&q.mins[r].to_le_bytes());
-        record[8..].copy_from_slice(&q.codes[r * d..(r + 1) * d]);
-        file.write_all(&record).map_err(io)?;
+    if tag == TAG_F32 {
+        return Ok(Box::new(DenseF32Store::from_rows(f32s_le(body), n, d)?));
     }
-    file.flush().map_err(io)?;
-    // drop any stale cached rows admitted before the rewrite
-    let mut cache = f.cache.lock().unwrap_or_else(|e| e.into_inner());
-    *cache = LruRowCache::new(cache.cap, d);
-    Ok(())
+    let (affine, codes) = body.split_at(8 * n);
+    let (scales, mins) = affine.split_at(4 * n);
+    Ok(Box::new(QuantizedStore::from_parts(
+        n,
+        d,
+        codes.to_vec(),
+        f32s_le(scales),
+        f32s_le(mins),
+    )?))
 }
 
 // --------------------------------------------------------------------------
@@ -1024,24 +615,23 @@ impl EntityHead {
     }
 
     /// Rebuild a head captured by [`EntityHead::to_blob`]; scores
-    /// bit-identically to the captured head.
+    /// bit-identically to the captured head. Like [`store_from_blob`], a
+    /// truncated or inconsistent blob is a [`QuantError::Blob`].
     pub fn from_blob(bytes: &[u8]) -> Result<EntityHead, QuantError> {
         if bytes.len() < 8 {
             return Err(blob_err("truncated head"));
         }
-        let slen = u64::from_le_bytes(bytes[0..8].try_into().unwrap()) as usize;
-        if 8 + slen > bytes.len() {
+        let slen = read_len(bytes, 0)?;
+        let rest = &bytes[8..];
+        if slen > rest.len() {
             return Err(blob_err("truncated head store"));
         }
-        let store = store_from_blob(&bytes[8..8 + slen])?;
-        let bias: Vec<f32> = bytes[8 + slen..]
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        if bias.len() != store.len() {
+        let (store_bytes, bias_bytes) = rest.split_at(slen);
+        let store = store_from_blob(store_bytes)?;
+        if store.len().checked_mul(4) != Some(bias_bytes.len()) {
             return Err(blob_err("head bias length mismatch"));
         }
-        Ok(EntityHead::new(store, bias))
+        Ok(EntityHead::new(store, f32s_le(bias_bytes)))
     }
 }
 
@@ -1131,10 +721,6 @@ mod tests {
             QuantizedStore::from_rows(&rows, 5, d).err(),
             Some(QuantError::NonFinite { row: 4 })
         );
-        assert_eq!(
-            FileBackedStore::create_temp(&rows, 5, d, 8).err(),
-            Some(QuantError::NonFinite { row: 4 })
-        );
     }
 
     #[test]
@@ -1168,44 +754,6 @@ mod tests {
     }
 
     #[test]
-    fn file_store_matches_quantized_store_bitwise_and_evicts() {
-        let (n, d, m) = (64, 12, 3);
-        let rows = randn_rows(n, d, 5);
-        let q = QuantizedStore::from_rows(&rows, n, d).unwrap();
-        // budget far below n so scoring must stream and evict
-        let f = FileBackedStore::create_temp(&rows, n, d, 8).unwrap();
-        let queries = randn_rows(m, d, 6);
-        let mut sq = vec![0.0f32; m * n];
-        let mut sf = vec![0.0f32; m * n];
-        q.score_range_into(&queries, m, 0, n, &mut sq);
-        f.score_range_into(&queries, m, 0, n, &mut sf);
-        assert_eq!(
-            sq, sf,
-            "file-backed scores must be bitwise equal to resident q8"
-        );
-        let (hits, misses) = f.cache_stats().unwrap();
-        assert!(
-            misses as usize >= n,
-            "expected at least one miss per row, got {misses}"
-        );
-        // second pass over a sub-range: the tiny cache holds the tail rows
-        let mut sub_q = vec![0.0f32; m * 8];
-        let mut sub_f = vec![0.0f32; m * 8];
-        q.score_range_into(&queries, m, n - 8, n, &mut sub_q);
-        f.score_range_into(&queries, m, n - 8, n, &mut sub_f);
-        assert_eq!(sub_q, sub_f);
-        let (hits2, _) = f.cache_stats().unwrap();
-        assert!(hits2 > hits, "tail rows should now be cache hits");
-        // gathers dequantize identically too
-        let ids = [0u32, 31, 63];
-        let mut gq = vec![0.0f32; ids.len() * d];
-        let mut gf = vec![0.0f32; ids.len() * d];
-        q.gather_into(&ids, &mut gq);
-        f.gather_into(&ids, &mut gf);
-        assert_eq!(gq, gf);
-    }
-
-    #[test]
     fn q8_footprint_is_within_budget() {
         let (n, d) = (256, 64);
         let rows = randn_rows(n, d, 7);
@@ -1213,13 +761,6 @@ mod tests {
         let q = QuantizedStore::from_rows(&rows, n, d).unwrap();
         let ratio = q.resident_bytes() as f64 / dense.resident_bytes() as f64;
         assert!(ratio <= 0.35, "q8 resident ratio {ratio} > 0.35");
-        let f = FileBackedStore::create_temp(&rows, n, d, 32).unwrap();
-        let mut out = vec![0.0f32; n];
-        f.score_range_into(&randn_rows(1, d, 8), 1, 0, n, &mut out);
-        assert!(
-            f.resident_bytes() < q.resident_bytes(),
-            "cache-bounded store must stay under resident q8"
-        );
     }
 
     #[test]
@@ -1227,8 +768,8 @@ mod tests {
         let (n, d, m) = (40, 10, 2);
         let rows = randn_rows(n, d, 9);
         let queries = randn_rows(m, d, 10);
-        for kind in [StoreKind::F32, StoreKind::Q8, StoreKind::File] {
-            let s = build_store(kind, &rows, n, d, 16).unwrap();
+        for kind in [StoreKind::F32, StoreKind::Q8] {
+            let s = build_store(kind, &rows, n, d).unwrap();
             let restored = store_from_blob(&s.to_blob()).unwrap();
             let mut a = vec![0.0f32; m * n];
             let mut b = vec![0.0f32; m * n];
@@ -1244,11 +785,33 @@ mod tests {
     }
 
     #[test]
+    fn legacy_file_tag_blobs_decode_as_q8_and_score_bitwise() {
+        let (n, d, m) = (37, 9, 3);
+        let rows = randn_rows(n, d, 15);
+        let queries = randn_rows(m, d, 16);
+        let q = QuantizedStore::from_rows(&rows, n, d).unwrap();
+        let mut blob = q.to_blob();
+        assert_eq!(blob[4], TAG_Q8);
+        blob[4] = TAG_Q8_FILE;
+        let restored = store_from_blob(&blob).unwrap();
+        assert_eq!(restored.kind(), StoreKind::Q8);
+        assert_eq!((restored.len(), restored.dim()), (n, d));
+        let mut want = vec![0.0f32; m * n];
+        let mut got = vec![0.0f32; m * n];
+        q.score_range_into(&queries, m, 0, n, &mut want);
+        restored.score_range_into(&queries, m, 0, n, &mut got);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want), "tag-2 blob must score like q8");
+        // re-captured, it is an ordinary q8 blob
+        assert_eq!(restored.to_blob(), q.to_blob());
+    }
+
+    #[test]
     fn entity_head_adds_bias_and_round_trips() {
         let (n, d, m) = (20, 6, 2);
         let rows = randn_rows(n, d, 11);
         let bias: Vec<f32> = (0..n).map(|i| i as f32 * 0.125).collect();
-        let q = build_store(StoreKind::Q8, &rows, n, d, 16).unwrap();
+        let q = build_store(StoreKind::Q8, &rows, n, d).unwrap();
         let head = EntityHead::new(q, bias.clone());
         let hidden = randn_rows(m, d, 12);
         let mut with_bias = vec![0.0f32; m * n];
@@ -1274,8 +837,8 @@ mod tests {
         let (n, d, m) = (33, 8, 2);
         let rows = randn_rows(n, d, 13);
         let queries = randn_rows(m, d, 14);
-        for kind in [StoreKind::F32, StoreKind::Q8, StoreKind::File] {
-            let s = build_store(kind, &rows, n, d, 8).unwrap();
+        for kind in [StoreKind::F32, StoreKind::Q8] {
+            let s = build_store(kind, &rows, n, d).unwrap();
             let mut full = vec![0.0f32; m * n];
             s.score_range_into(&queries, m, 0, n, &mut full);
             let (lo, hi) = (9, 25);
@@ -1297,7 +860,8 @@ mod tests {
         assert_eq!(StoreKind::parse("f32"), Some(StoreKind::F32));
         assert_eq!(StoreKind::parse("Q8"), Some(StoreKind::Q8));
         assert_eq!(StoreKind::parse("int8"), Some(StoreKind::Q8));
-        assert_eq!(StoreKind::parse(" file "), Some(StoreKind::File));
+        // the retired file-backed layout is an unknown value now
+        assert_eq!(StoreKind::parse(" file "), None);
         assert_eq!(StoreKind::parse("mmap"), None);
     }
 }

@@ -16,14 +16,18 @@ cargo fmt --check
 # (skipped automatically on hosts without SSE2/AVX2).
 # Quant gate: the compact embedding store must hold mean top-10 Spearman
 # >= 0.99 against the dense path under every backend, |dMRR| <= 0.005, a
-# q8 resident footprint <= 0.35x of f32, fused dequant scoring >= 0.8x of
-# the dense f32 throughput, and a bitwise, actually-streaming file store.
+# q8 resident footprint <= 0.35x of f32, and fused dequant scoring >= 0.8x
+# of the dense f32 throughput on the lower bound of a bootstrap 95% CI over
+# alternating paired f32/q8 rounds.
 # Trace gate (micro side): per-request tracing must cost < 1% of a batched
 # serving step on the trace off/on A/B row.
+# Fusion gate: no fused kernel cell may run > 10% slower than its unfused
+# composition. Checkpoint gate: per-epoch checkpointing must cost < 5% of
+# the epoch it protects.
 # Quick scale; the report goes to a scratch path so the committed full-scale
 # BENCH_micro.json stays untouched.
 CAME_QUICK=1 CAME_CHECK_INFER=1 CAME_CHECK_OBS=1 CAME_CHECK_SIMD=1 CAME_CHECK_QUANT=1 \
-    CAME_CHECK_TRACE=1 CAME_MICRO_OUT="$(mktemp)" \
+    CAME_CHECK_TRACE=1 CAME_CHECK_FUSION=1 CAME_CHECK_CKPT=1 CAME_MICRO_OUT="$(mktemp)" \
     cargo run --release -q -p came-bench --bin micro
 
 # Serving gate: the sharded tier must reproduce the single-engine path bit
