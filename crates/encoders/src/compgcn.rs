@@ -6,17 +6,11 @@
 //! modalities (§III), and it appears as a unimodal baseline in Table III.
 //! Both uses share this implementation.
 
-use came_kg::{KgDataset, OneToNModel, Split, TrainConfig};
-use came_tensor::{EmbeddingTable, Graph, ParamStore, Prng, Shape, Tensor, Var};
+use std::sync::Arc;
 
-/// Entity-relation composition operator φ.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Composition {
-    /// Subtraction: `φ(x, z) = x - z` (TransE-inspired).
-    Sub,
-    /// Hadamard product: `φ(x, z) = x ∘ z` (DistMult-inspired).
-    Mult,
-}
+use came_kg::{KgDataset, OneToNModel, Split, TrainConfig};
+pub use came_tensor::Composition;
+use came_tensor::{EdgeIndex, EmbeddingTable, Graph, ParamStore, Prng, Shape, Tensor, Var};
 
 struct GcnLayer {
     w_dir: came_tensor::ParamId,
@@ -34,14 +28,11 @@ pub struct CompGcn {
     pub rel: EmbeddingTable,
     layers: Vec<GcnLayer>,
     bias: came_tensor::ParamId,
-    /// Flattened (src, rel, dst) of the augmented train split.
-    src: Vec<u32>,
-    rels_of_edges: Vec<u32>,
-    dst: Vec<u32>,
+    /// The augmented train split's edges, indexed once for message passing.
+    edges: Arc<EdgeIndex>,
     /// `1 / (1 + indegree)` normaliser per entity.
-    inv_deg: Tensor,
+    inv_deg: Arc<[f32]>,
     composition: Composition,
-    num_entities: usize,
 }
 
 impl CompGcn {
@@ -67,28 +58,23 @@ impl CompGcn {
             .collect();
         let bias = store.add_zeros("compgcn.bias", Shape::d1(n));
         let aug = dataset.augmented(Split::Train);
-        let mut src = Vec::with_capacity(aug.len());
-        let mut rels_of_edges = Vec::with_capacity(aug.len());
-        let mut dst = Vec::with_capacity(aug.len());
-        let mut deg = vec![1.0f32; n]; // +1 for the self loop
-        for t in &aug {
-            src.push(t.h.0);
-            rels_of_edges.push(t.r.0);
-            dst.push(t.t.0);
-            deg[t.t.0 as usize] += 1.0;
-        }
-        let inv_deg = Tensor::from_vec(Shape::d2(n, 1), deg.into_iter().map(|d| 1.0 / d).collect());
+        let src: Vec<u32> = aug.iter().map(|t| t.h.0).collect();
+        let rels_of_edges: Vec<u32> = aug.iter().map(|t| t.r.0).collect();
+        let dst: Vec<u32> = aug.iter().map(|t| t.t.0).collect();
+        drop(aug);
+        let edges = EdgeIndex::new(&src, &rels_of_edges, &dst, n, nr);
+        // +1 for the self loop
+        let inv_deg = (0..n)
+            .map(|v| 1.0 / (1.0 + edges.in_degree(v) as f32))
+            .collect();
         CompGcn {
             ent,
             rel,
             layers,
             bias,
-            src,
-            rels_of_edges,
-            dst,
+            edges: Arc::new(edges),
             inv_deg,
             composition,
-            num_entities: n,
         }
     }
 
@@ -97,16 +83,8 @@ impl CompGcn {
     pub fn propagate(&self, g: &Graph, store: &ParamStore) -> (Var, Var) {
         let mut x = self.ent.full(g, store);
         let mut z = self.rel.full(g, store);
-        let norm = g.input(self.inv_deg.clone());
         for layer in &self.layers {
-            let xs = g.gather(x, &self.src);
-            let zr = g.gather(z, &self.rels_of_edges);
-            let msg = match self.composition {
-                Composition::Sub => g.sub(xs, zr),
-                Composition::Mult => g.mul(xs, zr),
-            };
-            let agg = g.scatter_sum(msg, &self.dst, self.num_entities);
-            let agg = g.mul(agg, norm);
+            let agg = g.message_pass(x, z, &self.edges, &self.inv_deg, self.composition);
             let w_dir = g.param(store, layer.w_dir);
             let w_loop = g.param(store, layer.w_loop);
             let transformed = g.add(g.matmul(agg, w_dir), g.matmul(x, w_loop));
@@ -138,10 +116,15 @@ impl OneToNModel for CompGcn {
 
 /// Train a CompGCN on `dataset` and return its frozen structural features
 /// `[N, dim]` — the paper's "structural embedding learned by CompGCN".
+/// With `epochs == 0` the untrained propagation is returned directly,
+/// without setting up a trainer.
 pub fn pretrain_structural(dataset: &KgDataset, dim: usize, epochs: usize, seed: u64) -> Tensor {
     let mut rng = Prng::new(seed);
     let mut store = ParamStore::new();
     let model = CompGcn::new(&mut store, dataset, dim, 1, Composition::Mult, &mut rng);
+    if epochs == 0 {
+        return model.structural_features(&store);
+    }
     let cfg = TrainConfig {
         epochs,
         batch_size: 512,
@@ -207,6 +190,21 @@ mod tests {
             before.mrr(),
             after.mrr()
         );
+    }
+
+    #[test]
+    fn zero_epochs_return_the_untrained_propagation() {
+        let bkg = presets::tiny(5);
+        let d = &bkg.dataset;
+        let seed = 11;
+        let feats = pretrain_structural(d, 32, 0, seed);
+        let mut rng = Prng::new(seed);
+        let mut store = ParamStore::new();
+        let model = CompGcn::new(&mut store, d, 32, 1, Composition::Mult, &mut rng);
+        let want = model.structural_features(&store);
+        assert_eq!(feats.shape(), want.shape());
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&feats), bits(&want));
     }
 
     #[test]

@@ -238,7 +238,7 @@ struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        if self.pos + n > self.buf.len() {
+        if n > self.buf.len() - self.pos {
             return Err(SnapshotError::Malformed(format!(
                 "payload ends at byte {} but field needs {n} more",
                 self.buf.len() - self.pos
@@ -414,14 +414,21 @@ impl Snapshot {
             return Err(SnapshotError::BadVersion(version));
         }
         let crc = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
-        let len = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
-        if bytes.len() < HEADER_LEN + len {
+        let len = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
+        // a hostile length must not overflow the end offset
+        let end = usize::try_from(len)
+            .ok()
+            .and_then(|l| l.checked_add(HEADER_LEN))
+            .ok_or_else(|| {
+                SnapshotError::Malformed(format!("declared payload length {len} overflows"))
+            })?;
+        if bytes.len() < end {
             return Err(SnapshotError::Truncated {
-                expected: HEADER_LEN + len,
+                expected: end,
                 got: bytes.len(),
             });
         }
-        let payload = &bytes[HEADER_LEN..HEADER_LEN + len];
+        let payload = &bytes[HEADER_LEN..end];
         let actual = crc32(payload);
         if actual != crc {
             return Err(SnapshotError::CrcMismatch {
@@ -449,7 +456,8 @@ impl Snapshot {
             });
         }
         let store_step = r.u64()?;
-        let n_params = r.len_prefix(8)?;
+        // a record encodes at least a name length and three vector lengths
+        let n_params = r.len_prefix(32)?;
         let mut params = Vec::with_capacity(n_params);
         for _ in 0..n_params {
             params.push(ParamRecord {

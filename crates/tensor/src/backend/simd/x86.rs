@@ -369,7 +369,7 @@ unsafe fn vexp<I: Isa>(x: I::V) -> I::V {
     let p = I::add(I::splat(0.009_618_13), I::mul(p, f));
     let p = I::add(I::splat(0.055_504_11), I::mul(p, f));
     let p = I::add(I::splat(0.240_226_51), I::mul(p, f));
-    let p = I::add(I::splat(0.693_147_18), I::mul(p, f));
+    let p = I::add(I::splat(std::f32::consts::LN_2), I::mul(p, f));
     let p = I::add(I::splat(1.0), I::mul(p, f));
     let scale = I::ibits(I::sll23(I::addi(i, I::splati(127))));
     let r = I::mul(scale, p);

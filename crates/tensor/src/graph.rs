@@ -7,9 +7,11 @@
 //! parameter gradients straight into the store so the optimiser can step.
 
 use std::cell::RefCell;
+use std::sync::Arc;
 
 use crate::backend::Activation;
 use crate::conv;
+use crate::message::{self, Composition, EdgeIndex};
 use crate::nn::{ParamId, ParamStore};
 use crate::pool::IdBuf;
 use crate::shape::Shape;
@@ -69,6 +71,15 @@ enum Op {
     Gather {
         x: Var,
         ids: IdBuf,
+    },
+    /// Fused relational message passing (see [`crate::message`]); the edge
+    /// index and normaliser are shared, not copied onto the tape.
+    MessagePass {
+        x: Var,
+        z: Var,
+        index: Arc<EdgeIndex>,
+        norm: Arc<[f32]>,
+        comp: Composition,
     },
     Add(Var, Var),
     Sub(Var, Var),
@@ -334,8 +345,9 @@ impl Graph {
     }
 
     /// Scatter-add rows of `x: [E, d]` into an `[n, d]` output:
-    /// `out[ids[i], :] += x[i, :]`. The aggregation step of message-passing
-    /// GNN layers (CompGCN).
+    /// `out[ids[i], :] += x[i, :]`. The aggregation step of a composed
+    /// message-passing layer; CompGCN uses the fused
+    /// [`Graph::message_pass`], which this op serves as a test oracle for.
     ///
     /// # Panics
     /// Panics if `x` is not 2-D, `ids.len() != E`, or an id is `>= n`.
@@ -392,6 +404,45 @@ impl Graph {
             self.op_if_recording(|| Op::Gather {
                 x,
                 ids: IdBuf::from_slice(ids),
+            }),
+        )
+    }
+
+    /// Fused message passing over `index`:
+    /// `out[v] = norm[v] · Σ_{e: dst_e = v} φ(x[src_e], z[rel_e])` for node
+    /// features `x: [N, d]` and relation features `z: [R, d]`, where `φ` is
+    /// `comp`. No `[E, d]` tensor is built, forward or backward: the
+    /// backward recomputes each edge's message. The value is bit-equal to
+    /// the composed `gather` → compose → [`Graph::scatter_sum`] → `mul(norm)`
+    /// chain (see the edge-order contract in [`crate::message`]).
+    ///
+    /// # Panics
+    /// Panics if `x` or `z` is not 2-D with `index`'s row counts and a
+    /// shared width, or `norm` does not have one entry per node.
+    pub fn message_pass(
+        &self,
+        x: Var,
+        z: Var,
+        index: &Arc<EdgeIndex>,
+        norm: &Arc<[f32]>,
+        comp: Composition,
+    ) -> Var {
+        let v = {
+            let nodes = self.nodes.borrow();
+            let (xv, zv) = (&nodes[x.0].value, &nodes[z.0].value);
+            let (n, d) = check_message_shapes(xv, zv, index, norm);
+            let mut out = Tensor::zeros(Shape::d2(n, d));
+            message::forward(index, xv.data(), zv.data(), norm, comp, d, out.data_mut());
+            out
+        };
+        self.push(
+            v,
+            self.op_if_recording(|| Op::MessagePass {
+                x,
+                z,
+                index: Arc::clone(index),
+                norm: Arc::clone(norm),
+                comp,
             }),
         )
     }
@@ -960,6 +1011,31 @@ impl Graph {
                     }
                     accum(&mut grads, *x, gx);
                 }
+                Op::MessagePass {
+                    x,
+                    z,
+                    index,
+                    norm,
+                    comp,
+                } => {
+                    let (xv, zv) = (&nodes[x.0].value, &nodes[z.0].value);
+                    let d = xv.shape().at(1);
+                    let mut gx = Tensor::zeros(xv.shape());
+                    let mut gz = Tensor::zeros(zv.shape());
+                    message::backward(
+                        index,
+                        xv.data(),
+                        zv.data(),
+                        norm,
+                        *comp,
+                        d,
+                        g.data(),
+                        gx.data_mut(),
+                        gz.data_mut(),
+                    );
+                    accum(&mut grads, *z, gz);
+                    accum(&mut grads, *x, gx);
+                }
                 Op::Add(a, b) => {
                     accum(&mut grads, *a, g.sum_to(nodes[a.0].value.shape()));
                     accum(&mut grads, *b, g.sum_to(nodes[b.0].value.shape()));
@@ -1168,6 +1244,22 @@ impl Graph {
             }
         }
     }
+}
+
+/// Validate [`Graph::message_pass`] operands; returns `(nodes, width)`.
+fn check_message_shapes(x: &Tensor, z: &Tensor, index: &EdgeIndex, norm: &[f32]) -> (usize, usize) {
+    assert_eq!(x.shape().ndim(), 2, "message_pass x must be 2-D");
+    assert_eq!(z.shape().ndim(), 2, "message_pass z must be 2-D");
+    let (n, d) = (x.shape().at(0), x.shape().at(1));
+    assert_eq!(n, index.num_nodes(), "message_pass x rows != index nodes");
+    assert_eq!(
+        z.shape().at(0),
+        index.num_rels(),
+        "message_pass z rows != index relations"
+    );
+    assert_eq!(z.shape().at(1), d, "message_pass x/z width mismatch");
+    assert_eq!(norm.len(), n, "message_pass norm needs one entry per node");
+    (n, d)
 }
 
 fn accum(grads: &mut [Option<Tensor>], v: Var, g: Tensor) {

@@ -42,6 +42,7 @@
 pub mod backend;
 pub mod conv;
 pub mod graph;
+pub mod message;
 pub mod nn;
 pub mod pool;
 pub mod rng;
@@ -61,6 +62,7 @@ pub use backend::{
     Backend, BackendKind, ScalarBackend, SimdBackend,
 };
 pub use graph::{sigmoid, Graph, UnaryKind, Var};
+pub use message::{Composition, EdgeIndex};
 pub use nn::{Adam, Conv2dLayer, EmbeddingTable, Linear, ParamId, ParamStateView, ParamStore};
 pub use rng::Prng;
 pub use shape::{Shape, MAX_NDIM};

@@ -724,7 +724,7 @@ pub fn fast_exp(x: f32) -> f32 {
     let f = y - i as f32;
     // Taylor coefficients of 2^f = e^{f·ln2}, degree 6 (rel err < 1e-5 on [0,1))
     let p = 1.0
-        + f * (0.693_147_18
+        + f * (std::f32::consts::LN_2
             + f * (0.240_226_51
                 + f * (0.055_504_11 + f * (0.009_618_13 + f * (0.001_333_55 + f * 0.000_154_04)))));
     let bits = ((i + 127) as u32) << 23;
@@ -747,7 +747,7 @@ pub fn fast_exp_lane(x: f32) -> f32 {
     let i = t - i32::from(t as f32 > yc);
     let f = yc - i as f32;
     let p = 1.0
-        + f * (0.693_147_18
+        + f * (std::f32::consts::LN_2
             + f * (0.240_226_51
                 + f * (0.055_504_11 + f * (0.009_618_13 + f * (0.001_333_55 + f * 0.000_154_04)))));
     let r = f32::from_bits(((i + 127) as u32) << 23) * p;
@@ -888,6 +888,13 @@ mod tests {
         }
         assert_eq!(fast_exp(-200.0), 0.0);
         assert!(fast_exp(100.0).is_finite());
+    }
+
+    #[test]
+    fn fast_exp_linear_coefficient_is_the_old_literal() {
+        // the degree-1 Taylor coefficient was the literal 0.693_147_18; the
+        // named constant must round to the same f32, so outputs are unchanged
+        assert_eq!(std::f32::consts::LN_2.to_bits(), 0x3f31_7218);
     }
 
     #[test]

@@ -1,14 +1,16 @@
-//! Fused-kernel correctness: `gemm_bias_act`, `softmax_matmul`, and
-//! `outer_attention` must match their composed unfused counterparts in
-//! forward value and gradients, and pass finite-difference gradient checks,
-//! on both backends.
+//! Fused-kernel correctness: `gemm_bias_act`, `softmax_matmul`,
+//! `outer_attention` and `message_pass` must match their composed unfused
+//! counterparts in forward value and gradients, and pass finite-difference
+//! gradient checks, on both backends.
 //!
 //! The composed references are built from the primitive graph ops directly
 //! (matmul / add / sigmoid / softmax), so they exercise the unfused code path
 //! without touching the process-global fusion switch.
 
-use came_tensor::{Activation, BackendKind, Graph, ParamStore, Prng, Shape, Tensor, Var};
-use std::sync::Mutex;
+use came_tensor::{
+    Activation, BackendKind, Composition, EdgeIndex, Graph, ParamStore, Prng, Shape, Tensor, Var,
+};
+use std::sync::{Arc, Mutex};
 
 const TOL: f32 = 1e-5;
 
@@ -340,4 +342,189 @@ fn softmax_matmul_finite_difference() {
     );
     assert_close(g.grad(sv).data(), num_s.data(), 3e-2, "fd gscores");
     assert_close(g.grad(vv).data(), num_v.data(), 2e-2, "fd gv");
+}
+
+// ----- message passing ------------------------------------------------------
+
+/// A seeded relational edge list over `n` nodes and `r` relations with
+/// `e` random edges, plus the shapes the index must get right: node `n - 1`
+/// has no in-edges, edge 0 appears twice, and node 1 has a self-loop.
+fn edge_list(n: usize, r: usize, e: usize, rng: &mut Prng) -> [Vec<u32>; 3] {
+    let (mut src, mut rel, mut dst) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..e {
+        src.push(rng.below(n) as u32);
+        rel.push(rng.below(r) as u32);
+        dst.push(rng.below(n - 1) as u32);
+    }
+    let (s0, r0, d0) = (src[0], rel[0], dst[0]);
+    src.extend([s0, 1]);
+    rel.extend([r0, (r - 1) as u32]);
+    dst.extend([d0, 1]);
+    [src, rel, dst]
+}
+
+/// The composed oracle for [`Graph::message_pass`] from primitive ops:
+/// gather both endpoints' rows, compose, scatter-add by destination, scale.
+fn composed_message_pass(
+    g: &Graph,
+    x: Var,
+    z: Var,
+    [src, rel, dst]: &[Vec<u32>; 3],
+    norm: Var,
+    comp: Composition,
+) -> Var {
+    let xs = g.gather(x, src);
+    let zr = g.gather(z, rel);
+    let msg = match comp {
+        Composition::Sub => g.sub(xs, zr),
+        Composition::Mult => g.mul(xs, zr),
+    };
+    let n = g.shape(x).at(0);
+    g.mul(g.scatter_sum(msg, dst, n), norm)
+}
+
+/// One message-passing case: values of every layer's aggregate and the
+/// final output, plus gradients of `x`, `z` and each layer's weights.
+type MpRun = (Vec<Vec<f32>>, Vec<Vec<f32>>);
+
+/// A CompGCN-shaped stack of `layers` message-passing layers, fused or
+/// composed: `x ← tanh(agg·W + x·W_loop)`, `z ← z·W_rel`.
+fn run_message_stack(
+    edges: &[Vec<u32>; 3],
+    x: &Tensor,
+    z: &Tensor,
+    norm: &[f32],
+    weights: &[[Tensor; 3]],
+    comp: Composition,
+    fused: bool,
+) -> MpRun {
+    let n = x.shape().at(0);
+    let index = Arc::new(EdgeIndex::new(
+        &edges[0],
+        &edges[1],
+        &edges[2],
+        n,
+        z.shape().at(0),
+    ));
+    let norm_arc: Arc<[f32]> = norm.into();
+    let g = Graph::new();
+    let (x0, z0) = (g.input(x.clone()), g.input(z.clone()));
+    let norm_var = g.input(Tensor::from_vec(Shape::d2(n, 1), norm.to_vec()));
+    let (mut xv, mut zv) = (x0, z0);
+    let mut values = Vec::new();
+    let mut wvars = Vec::new();
+    for [w_dir, w_loop, w_rel] in weights {
+        let agg = if fused {
+            g.message_pass(xv, zv, &index, &norm_arc, comp)
+        } else {
+            composed_message_pass(&g, xv, zv, edges, norm_var, comp)
+        };
+        values.push(g.value(agg).data().to_vec());
+        let ws = [w_dir, w_loop, w_rel].map(|w| g.input(w.clone()));
+        xv = g.tanh(g.add(g.matmul(agg, ws[0]), g.matmul(xv, ws[1])));
+        zv = g.matmul(zv, ws[2]);
+        wvars.extend(ws);
+    }
+    values.push(g.value(xv).data().to_vec());
+    let loss = g.add(g.sum_all(g.mul(xv, xv)), g.sum_all(zv));
+    let mut store = ParamStore::new();
+    g.backward(loss, &mut store);
+    let grads = [x0, z0]
+        .into_iter()
+        .chain(wvars)
+        .map(|v| g.grad(v).data().to_vec())
+        .collect();
+    (values, grads)
+}
+
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The fused op reads no `Backend` kernel, so the portable and detected
+/// SIMD levels run the same code; the two backend kinds differ in the
+/// fan-out policy (one thread vs the work-stealing pool) and in the GEMMs
+/// around it. Bit equality must hold under each.
+#[test]
+fn message_pass_is_bit_equal_to_composed_and_gradients_match() {
+    for kind in [BackendKind::Scalar, BackendKind::Simd] {
+        with_backend(kind, || {
+            let mut rng = Prng::new(0xF6);
+            // the last case clears the fan-out threshold, so the simd
+            // backend reduces rows on several threads
+            for &(n, r, e, d) in &[
+                (6usize, 2usize, 9usize, 3usize),
+                (40, 5, 200, 8),
+                (3000, 7, 40_000, 16),
+            ] {
+                let edges = edge_list(n, r, e, &mut rng);
+                let x = Tensor::randn(Shape::d2(n, d), 1.0, &mut rng);
+                let z = Tensor::randn(Shape::d2(r, d), 1.0, &mut rng);
+                let norm: Vec<f32> = (0..n).map(|_| rng.uniform() as f32 + 0.1).collect();
+                let weights: Vec<[Tensor; 3]> = (0..2)
+                    .map(|_| [(); 3].map(|_| Tensor::randn(Shape::d2(d, d), 0.4, &mut rng)))
+                    .collect();
+                for comp in [Composition::Sub, Composition::Mult] {
+                    for layers in [1, 2] {
+                        let ws = &weights[..layers];
+                        let (vf, gf) = run_message_stack(&edges, &x, &z, &norm, ws, comp, true);
+                        let (vu, gu) = run_message_stack(&edges, &x, &z, &norm, ws, comp, false);
+                        let name = format!("{kind:?} {comp:?} n={n} e={e} d={d} layers={layers}");
+                        for (i, (a, b)) in vf.iter().zip(&vu).enumerate() {
+                            assert_eq!(bits(a), bits(b), "{name}: forward value {i} differs");
+                        }
+                        for (i, (a, b)) in gf.iter().zip(&gu).enumerate() {
+                            assert_close(a, b, TOL, &format!("{name}: grad {i}"));
+                        }
+                        // a row with no in-edges aggregates to exactly +0.0
+                        let last = &vf[0][(n - 1) * d..];
+                        assert!(last.iter().all(|v| v.to_bits() == 0), "{name}: empty row");
+                    }
+                }
+            }
+        });
+    }
+}
+
+#[test]
+fn message_pass_finite_difference() {
+    let mut rng = Prng::new(0xF7);
+    let (n, r, d) = (5, 3, 3);
+    let edges = edge_list(n, r, 8, &mut rng);
+    let index = Arc::new(EdgeIndex::new(&edges[0], &edges[1], &edges[2], n, r));
+    let norm: Arc<[f32]> = (0..n).map(|v| 1.0 / (1.0 + v as f32)).collect();
+    let x = Tensor::randn(Shape::d2(n, d), 1.0, &mut rng);
+    let z = Tensor::randn(Shape::d2(r, d), 1.0, &mut rng);
+    let probe = Tensor::randn(Shape::d2(n, d), 1.0, &mut rng);
+    for comp in [Composition::Sub, Composition::Mult] {
+        let build = |g: &Graph, xt: &Tensor, zt: &Tensor| {
+            let (xv, zv) = (g.input(xt.clone()), g.input(zt.clone()));
+            let y = g.message_pass(xv, zv, &index, &norm, comp);
+            let p = g.input(probe.clone());
+            (xv, zv, g.sum_all(g.mul(y, p)))
+        };
+        let g = Graph::new();
+        let (xv, zv, loss) = build(&g, &x, &z);
+        let mut store = ParamStore::new();
+        g.backward(loss, &mut store);
+        let eval = |xt: &Tensor, zt: &Tensor| {
+            let g2 = Graph::new();
+            let (_, _, l) = build(&g2, xt, zt);
+            g2.with_value(l, |t| t.item())
+        };
+        let num_x = numeric_grad(|t| eval(t, &z), &x, 1e-2);
+        let num_z = numeric_grad(|t| eval(&x, t), &z, 1e-2);
+        assert_close(
+            g.grad(xv).data(),
+            num_x.data(),
+            2e-2,
+            &format!("fd gx {comp:?}"),
+        );
+        assert_close(
+            g.grad(zv).data(),
+            num_z.data(),
+            2e-2,
+            &format!("fd gz {comp:?}"),
+        );
+    }
 }

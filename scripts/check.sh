@@ -6,6 +6,9 @@ cd "$(dirname "$0")/.."
 cargo build --release --workspace
 cargo test -q --workspace
 cargo fmt --check
+# Lint gate: clippy's deny-by-default lints must pass on every crate and
+# target. Warnings are printed but do not fail the gate.
+cargo clippy --workspace --all-targets
 
 # Inference parity gate: the tape-free serving stack must reproduce the taped
 # metrics exactly and stay >= 2x faster on the eval_full_ranking A/B row.
